@@ -331,16 +331,8 @@ func (c *Chain) blockTV(p []float64, width int, tv []float64) {
 		}
 		return
 	}
-	if width == 1 { // flat accumulation, no per-row slices
-		var s float64
-		for v, pv := range c.pi {
-			d := p[v] - pv
-			if d < 0 {
-				d = -d
-			}
-			s += d
-		}
-		tv[0] = s / 2
+	if width == 1 { // the scalar distance itself, no per-row slices
+		tv[0] = TVDistance(p[:len(c.pi)], c.pi)
 		return
 	}
 	for j := range tv {
@@ -377,10 +369,13 @@ func newBlockBuffers(n, width int) *blockBuffers {
 	}
 }
 
-// traceBlock propagates the given sources together as one block of
-// width len(sources), recording each column's TV curve after every
-// step. buf must have capacity for at least that width.
-func (c *Chain) traceBlock(ctx context.Context, sources []graph.NodeID, maxT int, buf *blockBuffers) ([]*Trace, error) {
+// traceBlock is the one trace driver: it propagates the given sources
+// together as one block of width len(sources), appending each column's
+// TV distance to its trace after every step. A column's curve ends at
+// its first distance below eps, and the block stops once every column
+// has ended or maxT steps elapse; eps = 0 never ends a curve. buf must
+// have capacity for at least that width.
+func (c *Chain) traceBlock(ctx context.Context, sources []graph.NodeID, eps float64, maxT int, buf *blockBuffers) ([]*Trace, error) {
 	n := c.g.NumNodes()
 	width := len(sources)
 	p := buf.p[:n*width]
@@ -391,57 +386,50 @@ func (c *Chain) traceBlock(ctx context.Context, sources []graph.NodeID, maxT int
 	traces := make([]*Trace, width)
 	for j, s := range sources {
 		p[int(s)*width+j] = 1
-		traces[j] = &Trace{Source: s, TV: make([]float64, maxT)}
+		traces[j] = &Trace{Source: s, TV: make([]float64, 0, max(maxT, 0))}
 	}
-	for t := 0; t < maxT; t++ {
+	live := width
+	for t := 0; t < maxT && live > 0; t++ {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("markov: blocked trace (%d sources) cancelled at step %d: %w", width, t, err)
 		}
 		c.StepBlock(q, p, width, buf.w)
 		p, q = q, p
 		c.blockTV(p, width, buf.tv)
-		for j := range traces {
-			traces[j].TV[t] = buf.tv[j]
+		for j, tr := range traces {
+			if k := len(tr.TV); k > 0 && tr.TV[k-1] < eps {
+				continue // this column's curve has ended
+			}
+			tr.TV = append(tr.TV, buf.tv[j])
+			if buf.tv[j] < eps {
+				live--
+			}
 		}
 	}
 	if c.col != nil {
-		c.col.Add(telemetry.SourceSteps, int64(maxT)*int64(width))
+		steps := 0
+		for _, tr := range traces {
+			steps += len(tr.TV)
+		}
+		c.col.Add(telemetry.SourceSteps, int64(steps))
 		c.col.Add(telemetry.TracesCompleted, int64(width))
 	}
 	return traces, nil
 }
 
-// TraceBlock runs TraceFrom for all the given sources in one blocked
-// pass: every step scans the adjacency once and advances all
-// len(sources) distributions. The traces are byte-identical to
-// per-source TraceFrom runs.
-func (c *Chain) TraceBlock(sources []graph.NodeID, maxT int) []*Trace {
-	traces, _ := c.traceBlock(context.Background(), sources, maxT,
-		newBlockBuffers(c.g.NumNodes(), len(sources)))
-	return traces
-}
-
-// TraceSampleBlocked is TraceSample computed blockSize sources at a
-// time (DefaultBlockSize when blockSize <= 0); results are in source
-// order and byte-identical to the sequential ones.
-func (c *Chain) TraceSampleBlocked(sources []graph.NodeID, maxT, blockSize int) []*Trace {
-	traces, _ := c.TraceSampleBlockedContext(context.Background(), sources, maxT, blockSize, 1, nil)
-	return traces
-}
-
 // TraceSampleBlockedContext is the blocked, cancellable, observable
 // trace sampler the experiment drivers run on: sources are cut into
 // blocks of blockSize (DefaultBlockSize when <= 0), each block
-// propagates through StepBlock, and workers goroutines claim blocks
-// from an atomic counter (workers <= 0 uses GOMAXPROCS). Every trace
-// is byte-identical to a sequential TraceFrom, for any blockSize and
-// any workers.
+// propagates through traceBlock for maxT steps, and workers
+// goroutines claim blocks from an atomic counter (workers <= 0 uses
+// GOMAXPROCS). Results are in source order and every trace is
+// byte-identical to TraceFrom, for any blockSize and any workers.
 //
 // The pool stops claiming blocks once ctx is done and in-flight
-// blocks abort at their next step; the error then wraps ctx.Err().
-// onTrace, if non-nil, is called after each completed block with the
-// cumulative (done, total) source counts — calls are serialized and
-// monotonic, matching the TraceSampleParallelContext contract.
+// blocks abort at their next step; if any source is then left
+// untraced the error wraps ctx.Err(). onTrace, if non-nil, is called
+// after each completed block with the cumulative (done, total) source
+// counts — calls are serialized and monotonic.
 func (c *Chain) TraceSampleBlockedContext(ctx context.Context, sources []graph.NodeID, maxT, blockSize, workers int, onTrace func(done, total int)) ([]*Trace, error) {
 	total := len(sources)
 	if total == 0 {
@@ -462,30 +450,9 @@ func (c *Chain) TraceSampleBlockedContext(ctx context.Context, sources []graph.N
 	}
 	n := c.g.NumNodes()
 	traces := make([]*Trace, total)
-
-	if workers <= 1 {
-		buf := newBlockBuffers(n, blockSize)
-		for b := 0; b < blocks; b++ {
-			lo := b * blockSize
-			hi := lo + blockSize
-			if hi > total {
-				hi = total
-			}
-			trs, err := c.traceBlock(ctx, sources[lo:hi], maxT, buf)
-			if err != nil {
-				return nil, fmt.Errorf("markov: blocked trace sampling cancelled after %d of %d sources: %w", lo, total, err)
-			}
-			copy(traces[lo:hi], trs)
-			if onTrace != nil {
-				onTrace(hi, total)
-			}
-		}
-		return traces, nil
-	}
-
 	var (
-		next atomic.Int64
-		mu   sync.Mutex
+		next atomic.Int64 // lock-free block claiming
+		mu   sync.Mutex   // serializes done/onTrace only
 		done int
 		wg   sync.WaitGroup
 	)
@@ -500,11 +467,8 @@ func (c *Chain) TraceSampleBlockedContext(ctx context.Context, sources []graph.N
 					return
 				}
 				lo := b * blockSize
-				hi := lo + blockSize
-				if hi > total {
-					hi = total
-				}
-				trs, err := c.traceBlock(ctx, sources[lo:hi], maxT, buf)
+				hi := min(lo+blockSize, total)
+				trs, err := c.traceBlock(ctx, sources[lo:hi], 0, maxT, buf)
 				if err != nil {
 					return // ctx cancelled; surfaced after Wait
 				}
@@ -519,8 +483,8 @@ func (c *Chain) TraceSampleBlockedContext(ctx context.Context, sources []graph.N
 		}()
 	}
 	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("markov: blocked trace sampling cancelled after %d of %d sources: %w", done, total, err)
+	if done < total {
+		return nil, fmt.Errorf("markov: blocked trace sampling cancelled after %d of %d sources: %w", done, total, ctx.Err())
 	}
 	return traces, nil
 }

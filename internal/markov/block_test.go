@@ -3,6 +3,7 @@ package markov
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand/v2"
 	"testing"
 
@@ -78,16 +79,81 @@ func TestStepBlockMatchesStep(t *testing.T) {
 	}
 }
 
+// scalarTrace is the independent reference every trace entry point is
+// checked against: one source at a time through Step and TVDistance,
+// ending after the first distance below eps (never, for eps = 0).
+func scalarTrace(c *Chain, src graph.NodeID, eps float64, maxT int) (*Trace, bool) {
+	p := c.Delta(src)
+	q := make([]float64, c.NumNodes())
+	tr := &Trace{Source: src, TV: []float64{}}
+	for t := 0; t < maxT; t++ {
+		c.Step(q, p, nil)
+		p, q = q, p
+		d := TVDistance(p, c.Stationary())
+		tr.TV = append(tr.TV, d)
+		if d < eps {
+			return tr, true
+		}
+	}
+	return tr, false
+}
+
+// scalarTraces is scalarTrace over every source, to maxT.
+func scalarTraces(c *Chain, sources []graph.NodeID, maxT int) []*Trace {
+	out := make([]*Trace, len(sources))
+	for i, s := range sources {
+		out[i], _ = scalarTrace(c, s, 0, maxT)
+	}
+	return out
+}
+
+// TestTraceUntilPrefixParity checks that the early-stopping driver
+// records exactly the scalar curve up to and including its first
+// crossing of eps, and agrees on whether eps was reached — at width 1
+// through TraceUntil, and with columns ending at different steps of
+// one wider block.
+func TestTraceUntilPrefixParity(t *testing.T) {
+	for name, g := range blockFixtures(t) {
+		for _, lazyOpt := range [][]Option{nil, {Lazy()}} {
+			c := mustChain(t, g, lazyOpt...)
+			n := g.NumNodes()
+			sources := []graph.NodeID{0, graph.NodeID(n / 2), graph.NodeID(n - 1)}
+			for _, eps := range []float64{0.5, 0.1, 1e-3, 0} {
+				want := make([]*Trace, len(sources))
+				for i, src := range sources {
+					label := fmt.Sprintf("%s lazy=%v eps=%g src=%d", name, c.IsLazy(), eps, src)
+					var wantOK bool
+					want[i], wantOK = scalarTrace(c, src, eps, 60)
+					got, ok := c.TraceUntil(src, eps, 60)
+					if ok != wantOK {
+						t.Fatalf("%s: ok = %v, want %v", label, ok, wantOK)
+					}
+					mustEqualTraces(t, label, []*Trace{got}, want[i:i+1])
+				}
+				got, err := c.traceBlock(context.Background(), sources, eps, 60,
+					newBlockBuffers(n, len(sources)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				mustEqualTraces(t, fmt.Sprintf("%s lazy=%v eps=%g block", name, c.IsLazy(), eps), got, want)
+			}
+		}
+	}
+}
+
 func TestTraceBlockMatchesTraceFrom(t *testing.T) {
 	for name, g := range blockFixtures(t) {
 		c := mustChain(t, g, Lazy())
 		sources := []graph.NodeID{0, 3, graph.NodeID(g.NumNodes() - 1)}
-		got := c.TraceBlock(sources, 20)
-		want := make([]*Trace, len(sources))
-		for i, s := range sources {
-			want[i] = c.TraceFrom(s, 20)
+		want := scalarTraces(c, sources, 20)
+		got, err := c.TraceSampleBlockedContext(context.Background(), sources, 20, len(sources), 1, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
 		mustEqualTraces(t, name, got, want)
+		for i, s := range sources {
+			mustEqualTraces(t, name+" TraceFrom", []*Trace{c.TraceFrom(s, 20)}, want[i:i+1])
+		}
 	}
 }
 
@@ -99,7 +165,7 @@ func TestTraceSampleBlockedMatchesSequential(t *testing.T) {
 		n := g.NumNodes()
 		sources := []graph.NodeID{0, 2, 5, graph.NodeID(n / 3), graph.NodeID(n / 2),
 			graph.NodeID(n - 2), graph.NodeID(n - 1)}
-		want := c.TraceSample(sources, 25)
+		want := scalarTraces(c, sources, 25)
 		for _, blockSize := range []int{0, 1, 2, 3, 8, 16} {
 			for _, workers := range []int{0, 1, 2, 4} {
 				got, err := c.TraceSampleBlockedContext(context.Background(),
@@ -159,6 +225,32 @@ func TestTraceSampleBlockedCancellation(t *testing.T) {
 		func(done, total int) { cancel2() })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-run err = %v", err)
+	}
+}
+
+// TestTraceSampleBlockedCancelAfterLastBlock cancels ctx from the
+// progress call that reports every source done: the sampler finished
+// its work, so it must return every trace and no error whatever the
+// worker count.
+func TestTraceSampleBlockedCancelAfterLastBlock(t *testing.T) {
+	c := mustChain(t, complete(30))
+	sources := make([]graph.NodeID, 8)
+	for i := range sources {
+		sources[i] = graph.NodeID(i)
+	}
+	for _, workers := range []int{1, 2, 4} {
+		ctx, cancel := context.WithCancel(context.Background())
+		got, err := c.TraceSampleBlockedContext(ctx, sources, 10, 2, workers,
+			func(done, total int) {
+				if done == total {
+					cancel()
+				}
+			})
+		cancel()
+		if err != nil {
+			t.Fatalf("workers=%d: err = %v", workers, err)
+		}
+		mustEqualTraces(t, fmt.Sprintf("workers=%d", workers), got, scalarTraces(c, sources, 10))
 	}
 }
 

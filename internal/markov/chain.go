@@ -1,11 +1,20 @@
 // Package markov implements the random walk on an undirected graph as
 // a Markov chain: the transition operator P = D⁻¹A applied to exact
 // probability distributions, the stationary distribution
-// π_v = deg(v)/2m, total-variation and separation distances, and the
-// direct (sampling) measurement of the mixing time from Definition 1
-// of the paper:
+// π_v = deg(v)/2m, the total-variation distance, and the direct
+// (sampling) measurement of the mixing time from Definition 1 of the
+// paper:
 //
 //	T(ε) = max_i min{ t : ‖π − π⁽ⁱ⁾Pᵗ‖_tv < ε }.
+//
+// One driver propagates every trace: a block of point masses advanced
+// together by StepBlock, recording each column's ‖p_t − π‖_tv after
+// every step. It has three entry points:
+//
+//   - TraceFrom(src, maxT) records the full curve from one source;
+//   - TraceUntil(src, eps, maxT) stops at the first distance below eps;
+//   - TraceSampleBlockedContext runs many sources in blocks over a
+//     cancellable worker pool with progress reporting.
 package markov
 
 import (
@@ -261,48 +270,4 @@ func TVDistance(p, q []float64) float64 {
 		s += math.Abs(v - q[i])
 	}
 	return s / 2
-}
-
-// TVFromStationary returns ‖p − π‖_tv for this chain.
-func (c *Chain) TVFromStationary(p []float64) float64 { return TVDistance(p, c.pi) }
-
-// SeparationDistance returns max_v (1 − p_v/π_v), the one-sided
-// distance used by Whānau's analysis. It upper-bounds TV distance.
-func (c *Chain) SeparationDistance(p []float64) float64 {
-	var m float64
-	for v, pv := range p {
-		if s := 1 - pv/c.pi[v]; s > m {
-			m = s
-		}
-	}
-	return m
-}
-
-// RelativePointwiseDistance returns max_v |p_v − π_v| / π_v — the
-// distance Sinclair's original bounds are stated in. It dominates
-// both the separation and (twice the) total variation distance.
-func (c *Chain) RelativePointwiseDistance(p []float64) float64 {
-	var m float64
-	for v, pv := range p {
-		if d := math.Abs(pv-c.pi[v]) / c.pi[v]; d > m {
-			m = d
-		}
-	}
-	return m
-}
-
-// KLDivergence returns D(p‖π) = Σ p_v·ln(p_v/π_v) in nats, the
-// information-theoretic convergence measure. p_v = 0 terms contribute
-// 0; π has full support on a chain, so the divergence is finite.
-func (c *Chain) KLDivergence(p []float64) float64 {
-	var s float64
-	for v, pv := range p {
-		if pv > 0 {
-			s += pv * math.Log(pv/c.pi[v])
-		}
-	}
-	if s < 0 {
-		s = 0 // clamp float noise; KL is non-negative
-	}
-	return s
 }

@@ -152,53 +152,6 @@ func TestTVDistanceProperties(t *testing.T) {
 	}
 }
 
-func TestSeparationDominatesTV(t *testing.T) {
-	g := connectedRandom(40, 50, 11)
-	c := mustChain(t, g)
-	p := c.Propagate(c.Delta(0), 5)
-	sep := c.SeparationDistance(p)
-	tv := c.TVFromStationary(p)
-	if sep < tv-1e-12 {
-		t.Fatalf("separation %v < TV %v", sep, tv)
-	}
-	if s := c.SeparationDistance(c.Stationary()); math.Abs(s) > 1e-12 {
-		t.Fatalf("separation of π = %v", s)
-	}
-}
-
-func TestDistanceHierarchy(t *testing.T) {
-	// RPD ≥ separation ≥ TV for any distribution, and all vanish at π.
-	g := connectedRandom(60, 90, 13)
-	c := mustChain(t, g)
-	p := c.Propagate(c.Delta(3), 4)
-	rpd := c.RelativePointwiseDistance(p)
-	sep := c.SeparationDistance(p)
-	tv := c.TVFromStationary(p)
-	if rpd < sep-1e-12 || sep < tv-1e-12 {
-		t.Fatalf("hierarchy violated: rpd=%v sep=%v tv=%v", rpd, sep, tv)
-	}
-	if d := c.RelativePointwiseDistance(c.Stationary()); d > 1e-12 {
-		t.Fatalf("RPD(π) = %v", d)
-	}
-	if d := c.KLDivergence(c.Stationary()); d > 1e-12 {
-		t.Fatalf("KL(π) = %v", d)
-	}
-}
-
-func TestKLDivergence(t *testing.T) {
-	g := complete(4) // uniform π = 1/4
-	c := mustChain(t, g)
-	// Point mass: KL = ln(1/π_v) = ln 4.
-	if d := c.KLDivergence(c.Delta(0)); math.Abs(d-math.Log(4)) > 1e-12 {
-		t.Fatalf("KL(δ) = %v, want ln 4", d)
-	}
-	// KL decreases as the walk mixes.
-	p5 := c.Propagate(c.Delta(0), 5)
-	if c.KLDivergence(p5) >= math.Log(4) {
-		t.Fatal("KL did not decrease")
-	}
-}
-
 func TestTraceUntil(t *testing.T) {
 	c := mustChain(t, complete(20))
 	tr, ok := c.TraceUntil(0, 1e-6, 100)
@@ -349,44 +302,6 @@ func TestSampleSources(t *testing.T) {
 	all := SampleSources(g, 100, rng)
 	if len(all) != 10 {
 		t.Fatalf("oversample len = %d", len(all))
-	}
-}
-
-func TestTraceSampleParallelMatchesSequential(t *testing.T) {
-	g := connectedRandom(200, 300, 21)
-	c := mustChain(t, g)
-	sources := []graph.NodeID{0, 5, 9, 40, 77, 123, 199}
-	seq := c.TraceSample(sources, 30)
-	for _, workers := range []int{0, 1, 2, 4, 16} {
-		par := c.TraceSampleParallel(sources, 30, workers)
-		if len(par) != len(seq) {
-			t.Fatalf("workers=%d: %d traces", workers, len(par))
-		}
-		for i := range seq {
-			if par[i].Source != seq[i].Source {
-				t.Fatalf("workers=%d: trace %d source mismatch", workers, i)
-			}
-			for s := range seq[i].TV {
-				if par[i].TV[s] != seq[i].TV[s] {
-					t.Fatalf("workers=%d: trace %d step %d: %v vs %v",
-						workers, i, s, par[i].TV[s], seq[i].TV[s])
-				}
-			}
-		}
-	}
-}
-
-func TestTraceAllParallel(t *testing.T) {
-	g := complete(30)
-	c := mustChain(t, g)
-	traces := c.TraceAllParallel(10, 4)
-	if len(traces) != 30 {
-		t.Fatalf("%d traces", len(traces))
-	}
-	for i, tr := range traces {
-		if tr == nil || tr.Source != graph.NodeID(i) {
-			t.Fatalf("trace %d wrong", i)
-		}
 	}
 }
 

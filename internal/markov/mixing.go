@@ -2,11 +2,9 @@ package markov
 
 import (
 	"context"
-	"fmt"
 	"math"
 
 	"mixtime/internal/graph"
-	"mixtime/internal/telemetry"
 )
 
 // Trace records, for one source vertex, the total-variation distance
@@ -44,87 +42,22 @@ func (tr *Trace) MixingTime(eps float64) (int, bool) {
 }
 
 // TraceFrom propagates the point distribution at src for maxT steps
-// and records the TV distance after every step.
+// and records the TV distance after every step: TraceUntil with an
+// eps no distance goes below.
 func (c *Chain) TraceFrom(src graph.NodeID, maxT int) *Trace {
-	tr, _ := c.TraceFromContext(context.Background(), src, maxT)
+	tr, _ := c.TraceUntil(src, 0, maxT)
 	return tr
-}
-
-// TraceFromContext is TraceFrom with cancellation: the propagation
-// loop checks ctx every step (each step is O(m), so the check is
-// free) and returns the wrapped ctx.Err() when cancelled.
-func (c *Chain) TraceFromContext(ctx context.Context, src graph.NodeID, maxT int) (*Trace, error) {
-	n := c.g.NumNodes()
-	p := c.Delta(src)
-	q := make([]float64, n)
-	scratch := make([]float64, n)
-	tv := make([]float64, maxT)
-	for t := 0; t < maxT; t++ {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("markov: trace from %d cancelled at step %d: %w", src, t, err)
-		}
-		c.Step(q, p, scratch)
-		p, q = q, p
-		tv[t] = TVDistance(p, c.pi)
-	}
-	if c.col != nil {
-		c.col.Add(telemetry.SourceSteps, int64(maxT))
-		c.col.Add(telemetry.TracesCompleted, 1)
-	}
-	return &Trace{Source: src, TV: tv}, nil
 }
 
 // TraceUntil propagates from src until the TV distance drops below
 // eps or maxT steps elapse, returning the (possibly shorter) trace and
-// whether eps was reached.
+// whether eps was reached. It is a width-1 traceBlock, so the curve is
+// bit-identical to any column of a blocked trace from src.
 func (c *Chain) TraceUntil(src graph.NodeID, eps float64, maxT int) (*Trace, bool) {
-	n := c.g.NumNodes()
-	p := c.Delta(src)
-	q := make([]float64, n)
-	scratch := make([]float64, n)
-	tv := make([]float64, 0, 64)
-	for t := 0; t < maxT; t++ {
-		c.Step(q, p, scratch)
-		p, q = q, p
-		d := TVDistance(p, c.pi)
-		tv = append(tv, d)
-		if d < eps {
-			c.traceDone(len(tv))
-			return &Trace{Source: src, TV: tv}, true
-		}
-	}
-	c.traceDone(len(tv))
-	return &Trace{Source: src, TV: tv}, false
-}
-
-// traceDone records one finished trace of the given length.
-func (c *Chain) traceDone(steps int) {
-	if c.col != nil {
-		c.col.Add(telemetry.SourceSteps, int64(steps))
-		c.col.Add(telemetry.TracesCompleted, 1)
-	}
-}
-
-// TraceAll runs TraceFrom for every vertex — the brute-force
-// measurement the paper applies to the physics co-authorship graphs
-// (Figures 3–5). Cost is O(n·maxT·m); use only on small graphs.
-func (c *Chain) TraceAll(maxT int) []*Trace {
-	n := c.g.NumNodes()
-	traces := make([]*Trace, n)
-	for v := 0; v < n; v++ {
-		traces[v] = c.TraceFrom(graph.NodeID(v), maxT)
-	}
-	return traces
-}
-
-// TraceSample runs TraceFrom for each of the given sources (the
-// paper's 1000-source sampling for large graphs).
-func (c *Chain) TraceSample(sources []graph.NodeID, maxT int) []*Trace {
-	traces := make([]*Trace, len(sources))
-	for i, s := range sources {
-		traces[i] = c.TraceFrom(s, maxT)
-	}
-	return traces
+	trs, _ := c.traceBlock(context.Background(), []graph.NodeID{src}, eps, maxT,
+		newBlockBuffers(c.g.NumNodes(), 1))
+	tr := trs[0]
+	return tr, len(tr.TV) > 0 && tr.TV[len(tr.TV)-1] < eps
 }
 
 // MixingTime implements Definition 1 exactly over the given traces:

@@ -1,6 +1,7 @@
 package markov
 
 import (
+	"context"
 	"testing"
 
 	"mixtime/internal/graph"
@@ -66,8 +67,9 @@ func TestStepCollectorByteIdentity(t *testing.T) {
 }
 
 // TestTraceCollectorCounts checks trace-level counters: a full trace
-// records its per-source steps and completion, and the blocked path
-// counts SpMM block passes instead of per-source matvecs.
+// records its per-source steps and completion, an early-stopped trace
+// counts only the steps it recorded, and the blocked path counts SpMM
+// block passes instead of per-source matvecs.
 func TestTraceCollectorCounts(t *testing.T) {
 	g := connectedRandom(200, 800, 3)
 	col := telemetry.New()
@@ -84,8 +86,26 @@ func TestTraceCollectorCounts(t *testing.T) {
 	}
 
 	col.Reset()
+	tr, ok := c.TraceUntil(0, 0.2, maxT)
+	if !ok || len(tr.TV) >= maxT {
+		t.Fatalf("TraceUntil stopped after %d of %d steps (ok=%v), want an early stop", len(tr.TV), maxT, ok)
+	}
+	snap = col.Snapshot()
+	if got := snap.Get(telemetry.SourceSteps); got != int64(len(tr.TV)) {
+		t.Errorf("TraceUntil source_steps = %d, want len(TV) = %d", got, len(tr.TV))
+	}
+	if got := snap.Get(telemetry.TracesCompleted); got != 1 {
+		t.Errorf("TraceUntil traces_completed = %d, want 1", got)
+	}
+	if got, want := snap.Get(telemetry.EdgesScanned), int64(len(tr.TV))*2*g.NumEdges(); got != want {
+		t.Errorf("TraceUntil edges_scanned = %d, want %d", got, want)
+	}
+
+	col.Reset()
 	sources := []graph.NodeID{0, 1, 2, 3}
-	c.TraceSampleBlocked(sources, maxT, len(sources))
+	if _, err := c.TraceSampleBlockedContext(context.Background(), sources, maxT, len(sources), 1, nil); err != nil {
+		t.Fatal(err)
+	}
 	snap = col.Snapshot()
 	if got := snap.Get(telemetry.SpMMBlocks); got != maxT {
 		t.Errorf("spmm_blocks = %d, want %d (one blocked pass per step)", got, maxT)
