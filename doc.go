@@ -60,7 +60,7 @@
 //	internal/whanau       Whānau DHT core
 //	internal/stats        CDFs, percentiles
 //	internal/core         the composed Measure/MeasureContext pipeline
-//	internal/distmix      simulated distributed estimation: superstep engine,
+//	internal/distmix      simulated distributed estimation: flat walker superstep,
 //	                      walker-flood mixing/local-mixing estimators (DESIGN.md §11)
 //	internal/runner       experiment registry, parallel runner, observer events
 //	internal/experiments  per-figure drivers (T1, F1–F8, X1–X7, D1–D2)

@@ -1,3 +1,28 @@
+// Package distmix estimates mixing times the way a distributed system
+// would: no global eigensolve, no dense distribution vectors — just
+// random-walk tokens hopping between graph partitions, with
+// convergence detected from per-partition visit statistics. It follows
+// Molla & Pandurangan's distributed mixing-time line of work: each
+// node learns how mixed the walk is from local walk counts alone, and
+// the only global operations are a per-round barrier and an
+// O(shards)-sized reduction.
+//
+// The package simulates the distributed execution on one machine so
+// the estimates can be cross-validated against the exact spectral and
+// propagation answers the rest of the repository computes (experiments
+// D1/D2). The edge-balanced graph.ShardPlan partitions are the cost
+// model's workers, rounds are bulk-synchronous supersteps, and every
+// walker hop whose endpoints lie on different shards is accounted as
+// an off-shard message through internal/telemetry — the cost a real
+// deployment would put on the wire.
+//
+// The simulation is a flat superstep over walker state: one position
+// per walker, indexed by walker id, hopped in place once per round.
+// Shards decide only the accounting (which hops are off-shard), never
+// the execution: the hops run on contiguous walker ranges sized by
+// the host and the population, and every cross-range merge is integer
+// addition, so the estimate and the message bill are identical for
+// any split.
 package distmix
 
 import (
@@ -6,6 +31,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"runtime"
+	"sync"
 
 	"mixtime/internal/api"
 	"mixtime/internal/graph"
@@ -17,8 +44,9 @@ import (
 // numeric fields take the canonical api defaults; Seed is never
 // rewritten (zero is a valid seed, matching core.Options).
 type Options struct {
-	// Shards is the number of simulated workers (default
-	// api.DefaultDistShards; capped at the vertex count by the plan).
+	// Shards is the number of simulated workers — the partitions the
+	// message bill is split over (default api.DefaultDistShards;
+	// capped at the vertex count by the plan).
 	// The estimate is identical for any value — only the communication
 	// accounting changes — which is the invariant the fingerprint
 	// exclusion of dist_shards relies on.
@@ -75,6 +103,38 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// Stats is the communication accounting of one estimate — the cost
+// model of the simulated distributed system. Message counts are exact
+// and deterministic; they grow with the shard count even though the
+// estimate itself does not, which is the accuracy-vs-communication
+// axis experiment D2 sweeps.
+type Stats struct {
+	// Rounds is the number of supersteps executed.
+	Rounds int `json:"rounds"`
+	// Messages counts every delivered message, local or not.
+	Messages int64 `json:"messages"`
+	// OffShardMessages counts messages whose sender and receiver live
+	// on different shards — wire traffic in a real deployment.
+	OffShardMessages int64 `json:"offshard_messages"`
+	// OnShardBytes and OffShardBytes are the accounted payload volumes
+	// (message count × the 8-byte walker message).
+	OnShardBytes  int64 `json:"onshard_bytes"`
+	OffShardBytes int64 `json:"offshard_bytes"`
+	// Halted reports that the convergence test stopped the run before
+	// the round budget ran out.
+	Halted bool `json:"halted"`
+}
+
+// Add accumulates another source's accounting.
+func (s *Stats) Add(o Stats) {
+	s.Rounds += o.Rounds
+	s.Messages += o.Messages
+	s.OffShardMessages += o.OffShardMessages
+	s.OnShardBytes += o.OnShardBytes
+	s.OffShardBytes += o.OffShardBytes
+	s.Halted = s.Halted || o.Halted
+}
+
 // SourceEstimate is one source's walk-distribution measurement.
 type SourceEstimate struct {
 	Source graph.NodeID `json:"source"`
@@ -91,7 +151,7 @@ type SourceEstimate struct {
 	// can land on either side of it.
 	LocalTau   int  `json:"local_tau"`
 	LocalMixed bool `json:"local_mixed"`
-	// Rounds is the supersteps this source's engine run executed.
+	// Rounds is the supersteps this source's walker flood executed.
 	Rounds int `json:"rounds"`
 }
 
@@ -119,47 +179,47 @@ type Result struct {
 	// track the exact propagated distance.
 	NoiseFloor float64 `json:"noise_floor"`
 	// Stats totals the communication accounting over every source's
-	// engine run. It depends on the shard count even though the
+	// walker flood. It depends on the shard count even though the
 	// estimate does not.
 	Stats Stats `json:"stats"`
 }
 
-// walker is the message type: one random-walk token. The accounted
-// wire size is 8 bytes (walker id + current position).
-type walker struct {
-	id  uint32
-	pos graph.NodeID
-}
-
+// walkerBytes is the accounted wire size of one walker message:
+// walker id + current position.
 const walkerBytes = 8
 
-// partial is one shard's per-round aggregate: exact integer sums, so
-// merging across any shard grouping is associative and lossless —
-// the root of the shard-count invariance.
-type partial struct {
-	// absDev is Σ_v |2m·c_v − K·deg_v| over the shard (K·2m·TV̂ scale).
-	absDev int64
-	// mixedDeg is Σ deg_v over the shard's vertices whose count is
-	// within the pointwise tolerance — stationary mass (×2m) already
-	// locally mixed.
-	mixedDeg int64
-}
+// minWalksPerRange is the smallest walker range worth a goroutine of
+// its own; below it the per-round fan-out costs more than it saves.
+const minWalksPerRange = 4096
+
+// Hash constants of the counter-mode walker stream: a hop is
+// mix64(runSeed + id·hopWalkerMul + round·hopRoundMul).
+const (
+	hopWalkerMul = 0x9e3779b97f4a7c15
+	hopRoundMul  = 0xd1b54a32d192ed03
+)
 
 // EstimateMixingTime measures τ(ε) the distributed way: every sampled
-// source floods the graph with K = WalksPerNode·n walk tokens, shards
-// advance them one hop per superstep, and each round's exact
-// per-shard visit counts are reduced into an ℓ1 distance to the
-// degree-proportional stationary distribution. The walk stops at the
-// first round whose debiased distance is below ε. Sources run
-// sequentially (walker memory stays bounded by one population) and
-// each contributes its engine run's communication accounting to the
-// returned totals.
+// source floods the graph with K = WalksPerNode·n walk tokens, every
+// token advances one hop per superstep, and each round's exact visit
+// counts are reduced into an ℓ1 distance to the degree-proportional
+// stationary distribution. The walk stops at the first round whose
+// debiased distance is below ε. Sources run sequentially (walker
+// memory stays bounded by one population) and each contributes its
+// flood's communication accounting to the returned totals.
 //
 // Determinism: walker hops are a pure hash of (seed, source, walker,
-// round) and every cross-shard reduction is integer arithmetic, so
+// round) and every cross-range reduction is integer arithmetic, so
 // the estimate is bit-identical for any shard count and any
 // goroutine interleaving — only Stats varies with the plan.
 func EstimateMixingTime(ctx context.Context, g *graph.Graph, opt Options) (*Result, error) {
+	return estimate(ctx, g, opt, 0)
+}
+
+// estimate is EstimateMixingTime with the walker-range count exposed.
+// ranges <= 0 picks min(shards, GOMAXPROCS, walks/minWalksPerRange);
+// the Result is the same for every count.
+func estimate(ctx context.Context, g *graph.Graph, opt Options, ranges int) (*Result, error) {
 	opt = opt.withDefaults()
 	n := g.NumNodes()
 	if n < 2 {
@@ -185,6 +245,11 @@ func EstimateMixingTime(ctx context.Context, g *graph.Graph, opt Options) (*Resu
 	if len(sources) == 0 {
 		return nil, errors.New("distmix: no sources")
 	}
+	for _, src := range sources {
+		if int(src) >= n {
+			return nil, fmt.Errorf("distmix: source %d out of range for %d nodes", src, n)
+		}
+	}
 
 	plan := graph.NewShardPlan(g, opt.Shards)
 	res := &Result{
@@ -196,35 +261,33 @@ func EstimateMixingTime(ctx context.Context, g *graph.Graph, opt Options) (*Resu
 		Complete:      true,
 		LocalComplete: true,
 	}
+	if ranges <= 0 {
+		ranges = min(plan.NumShards(), runtime.GOMAXPROCS(0), walks/minWalksPerRange)
+	}
+	f := newFlood(g, plan, walks, max(1, min(ranges, walks)), lazy)
 
 	// Stationary-distribution scaffolding, computed once in vertex
 	// order (the only floating-point inputs; identical for every shard
 	// count). devThresh[v] is the pointwise "locally mixed" tolerance
 	// on the integer deviation |2m·c_v − K·deg_v|: ε·π_v of real
 	// deviation plus two noise MADs, scaled by K·2m.
-	twoM := 2 * g.NumEdges()
-	k2m := float64(walks) * float64(twoM)
-	kDeg := make([]int64, n)
-	devThresh := make([]float64, n)
+	k2m := float64(walks) * float64(f.twoM)
 	var floor float64
 	for v := 0; v < n; v++ {
 		deg := int64(g.Degree(graph.NodeID(v)))
-		kDeg[v] = int64(walks) * deg
-		pi := float64(deg) / float64(twoM)
+		f.kDeg[v] = int64(walks) * deg
+		pi := float64(deg) / float64(f.twoM)
 		mad := binomMAD(walks, pi)
 		floor += mad / 2
-		devThresh[v] = (opt.Eps*pi + 2*mad) * k2m
+		f.devThresh[v] = (opt.Eps*pi + 2*mad) * k2m
 	}
 	res.NoiseFloor = floor
-	// ζ(ε) target: locally mixed vertices must hold ≥ (1−ε) of the
-	// stationary mass, i.e. Σ deg over mixed vertices ≥ (1−ε)·2m.
-	localTarget := (1 - opt.Eps) * float64(twoM)
 
 	for _, src := range sources {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("distmix: cancelled: %w", err)
 		}
-		se, stats, err := estimateSource(ctx, g, plan, src, walks, lazy, opt, kDeg, devThresh, floor, localTarget)
+		se, stats, err := f.estimateSource(ctx, src, opt, floor)
 		if err != nil {
 			return nil, err
 		}
@@ -242,123 +305,219 @@ func EstimateMixingTime(ctx context.Context, g *graph.Graph, opt Options) (*Resu
 	return res, nil
 }
 
-// estimateSource runs one source's walker population to its ε
-// crossing (or the round cap) on a fresh engine.
-func estimateSource(ctx context.Context, g *graph.Graph, plan *graph.ShardPlan,
-	src graph.NodeID, walks int, lazy bool, opt Options,
-	kDeg []int64, devThresh []float64, floor, localTarget float64) (SourceEstimate, Stats, error) {
+// flood is one estimate's walker state, built once and reused by
+// every source. Walker i's position is pos[i]; the walkers are split
+// into contiguous ranges, and range r counts the arrivals its hops
+// produce into its own row of nxt, so ranges never write shared
+// memory. The next superstep sums the rows vertex by vertex.
+type flood struct {
+	g     *graph.Graph
+	off32 []uint32 // hoisted CSR offsets; nil selects the wide fallback
+	adj   []graph.NodeID
+	lazy  bool
+	// owner maps a vertex to its shard — the cost model's routing
+	// table, consulted only to price a hop.
+	owner []uint32
+	pos   []graph.NodeID
+	// cur and nxt are [range][vertex] visit counts: this round's
+	// arrivals (consumed and zeroed by the reduction) and the next
+	// round's (filled by the hops).
+	cur, nxt [][]int32
+	tally    []tally
 
-	eng, err := NewEngine[walker, partial](g, plan, walkerBytes, opt.Collector)
-	if err != nil {
-		return SourceEstimate{}, Stats{}, err
+	twoM      int64
+	kDeg      []int64   // K·deg_v
+	devThresh []float64 // pointwise locally-mixed tolerance
+}
+
+// tally is one walker range's share of a superstep: exact integer
+// sums, so merging over any split is associative and lossless — the
+// root of the range- and shard-count invariance.
+type tally struct {
+	// absDev is Σ_v |2m·c_v − K·deg_v| over the range's vertices
+	// (K·2m·TV̂ scale).
+	absDev int64
+	// mixedDeg is Σ deg_v over the range's vertices whose count is
+	// within the pointwise tolerance — stationary mass (×2m) already
+	// locally mixed.
+	mixedDeg int64
+	// off counts the range's hops that crossed a shard boundary.
+	off int64
+}
+
+func newFlood(g *graph.Graph, plan *graph.ShardPlan, walks, ranges int, lazy bool) *flood {
+	n := g.NumNodes()
+	f := &flood{
+		g:         g,
+		off32:     g.Offsets32(),
+		adj:       g.Adjacency(),
+		lazy:      lazy,
+		owner:     make([]uint32, n),
+		pos:       make([]graph.NodeID, walks),
+		cur:       make([][]int32, ranges),
+		nxt:       make([][]int32, ranges),
+		tally:     make([]tally, ranges),
+		twoM:      2 * g.NumEdges(),
+		kDeg:      make([]int64, n),
+		devThresh: make([]float64, n),
 	}
-	shards := eng.NumShards()
-	twoM := 2 * g.NumEdges()
-	runSeed := mix64(mix64(opt.Seed^0x646973746d6978) ^ uint64(src))
-
-	// Per-shard visit counters. Counts accumulate during a round's
-	// arrival phase and drain in its departure phase, so they are zero
-	// between rounds and a shard only ever touches its own range.
-	counts := make([][]int32, shards)
-	for s := 0; s < shards; s++ {
+	for s := 0; s < plan.NumShards(); s++ {
 		lo, hi := plan.Bounds(s)
-		counts[s] = make([]int32, hi-lo)
-	}
-
-	// Round r's arrivals are the distribution after r−1 hops, so a
-	// crossing detected at round r means τ = r−1. Observing walk
-	// length MaxRounds therefore needs MaxRounds+1 rounds.
-	step := func(round, shard int, inbox [][]walker, out *Outbox[walker]) partial {
-		lo, hi := plan.Bounds(shard)
-		c := counts[shard]
-		// Arrivals: materialize this round's visit counts.
-		for _, batch := range inbox {
-			for _, w := range batch {
-				c[w.pos-graph.NodeID(lo)]++
-			}
-		}
-		// Aggregate: exact integer ℓ1 deviation and locally-mixed mass.
-		var p partial
 		for v := lo; v < hi; v++ {
-			dev := twoM*int64(c[v-lo]) - kDeg[v]
-			if dev < 0 {
-				dev = -dev
-			}
-			p.absDev += dev
-			if float64(dev) <= devThresh[v] {
-				p.mixedDeg += int64(g.Degree(graph.NodeID(v)))
-			}
+			f.owner[v] = uint32(s)
 		}
-		// Departures: every walker hops, addressed to its next owner.
-		// The hash makes the hop a pure function of (seed, walker,
-		// round) — independent of which shard computes it.
-		for _, batch := range inbox {
-			for _, w := range batch {
-				c[w.pos-graph.NodeID(lo)]--
-				next := nextHop(g, w.pos, runSeed, w.id, round, lazy)
-				out.Send(eng.Owner(next), walker{id: w.id, pos: next})
-			}
-		}
-		return p
 	}
+	for r := range f.cur {
+		f.cur[r] = make([]int32, n)
+		f.nxt[r] = make([]int32, n)
+	}
+	return f
+}
 
+// estimateSource runs one source's walker population to its ε
+// crossing (or the round cap).
+func (f *flood) estimateSource(ctx context.Context, src graph.NodeID, opt Options, floor float64) (SourceEstimate, Stats, error) {
+	walks := len(f.pos)
+	for i := range f.pos {
+		f.pos[i] = src
+	}
+	for r := range f.cur {
+		clear(f.cur[r])
+	}
+	f.cur[0][src] = int32(walks)
+
+	runSeed := mix64(mix64(opt.Seed^0x646973746d6978) ^ uint64(src))
 	se := SourceEstimate{Source: src}
-	eps := opt.Eps
-	invScale := 1 / (2 * float64(walks) * float64(twoM))
+	invScale := 1 / (2 * float64(walks) * float64(f.twoM))
+	// ζ(ε) target: locally mixed vertices must hold ≥ (1−ε) of the
+	// stationary mass, i.e. Σ deg over mixed vertices ≥ (1−ε)·2m.
+	localTarget := (1 - opt.Eps) * float64(f.twoM)
 	var tvDone, localDone bool
-	halt := func(round int, partials []partial) bool {
-		var absDev, mixedDeg int64
-		for _, p := range partials {
-			absDev += p.absDev
-			mixedDeg += p.mixedDeg
+	var st Stats
+
+	// Round r reduces the distribution after r−1 hops, so a crossing
+	// detected at round r means τ = r−1, and observing walk length
+	// MaxRounds needs MaxRounds+1 rounds. Every round's hops are
+	// computed and billed, the halting round's included.
+	for round := 1; round <= opt.MaxRounds+1; round++ {
+		if err := ctx.Err(); err != nil {
+			return SourceEstimate{}, Stats{}, fmt.Errorf("distmix: cancelled at round %d: %w", round, err)
 		}
+		t := f.superstep(runSeed + uint64(round)*hopRoundMul)
+
+		on := int64(walks) - t.off
+		st.Rounds++
+		st.Messages += int64(walks)
+		st.OffShardMessages += t.off
+		st.OnShardBytes += on * walkerBytes
+		st.OffShardBytes += t.off * walkerBytes
+		col := opt.Collector
+		col.Add(telemetry.DistRounds, 1)
+		col.Add(telemetry.DistMessages, int64(walks))
+		col.Add(telemetry.DistOffShardMessages, t.off)
+		col.Add(telemetry.DistOnShardBytes, on*walkerBytes)
+		col.Add(telemetry.DistOffShardBytes, t.off*walkerBytes)
+
 		tau := round - 1
-		if !localDone && float64(mixedDeg) >= localTarget {
+		if !localDone && float64(t.mixedDeg) >= localTarget {
 			se.LocalTau, se.LocalMixed, localDone = tau, true, true
 		}
-		if tv := float64(absDev)*invScale - floor; !tvDone && tv < eps {
+		if tv := float64(t.absDev)*invScale - floor; !tvDone && tv < opt.Eps {
 			se.Tau, se.Mixed, tvDone = tau, true, true
 		}
-		return tvDone && localDone
+		if tvDone && localDone {
+			st.Halted = true
+			break
+		}
 	}
-
-	initial := make([][]walker, shards)
-	seedShard := eng.Owner(src)
-	pop := make([]walker, walks)
-	for i := range pop {
-		pop[i] = walker{id: uint32(i), pos: src}
-	}
-	initial[seedShard] = pop
-
-	stats, err := eng.Run(ctx, opt.MaxRounds+1, initial, step, halt)
-	if err != nil {
-		return SourceEstimate{}, Stats{}, err
-	}
-	se.Rounds = stats.Rounds
+	se.Rounds = st.Rounds
 	if !se.Mixed {
 		se.Tau = opt.MaxRounds // lower bound, like markov.MixingTime
 	}
 	if !se.LocalMixed {
 		se.LocalTau = opt.MaxRounds
 	}
-	return se, stats, nil
+	return se, st, nil
 }
 
-// nextHop advances one walker: a lazy coin (when measuring the lazy
-// chain) and a uniform neighbor choice, both derived from one
-// avalanche hash of (run seed, walker id, round). No shared RNG state
-// means no cross-shard coordination and bit-identical walks under any
-// partitioning.
-func nextHop(g *graph.Graph, v graph.NodeID, runSeed uint64, id uint32, round int, lazy bool) graph.NodeID {
-	h := mix64(runSeed + uint64(id)*0x9e3779b97f4a7c15 + uint64(round)*0xd1b54a32d192ed03)
-	if lazy {
-		if h&1 == 1 {
-			return v
-		}
-		h >>= 1
+// superstep runs one round on every walker range — range 0 on the
+// calling goroutine — and returns the summed tally. roundKey is the
+// round's share of the hop hash, runSeed + round·hopRoundMul.
+func (f *flood) superstep(roundKey uint64) tally {
+	var wg sync.WaitGroup
+	for r := 1; r < len(f.tally); r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			f.tally[r] = f.step(r, roundKey)
+		}(r)
 	}
-	adj := g.Neighbors(v)
-	return adj[(h>>1)%uint64(len(adj))]
+	f.tally[0] = f.step(0, roundKey)
+	wg.Wait()
+	var t tally
+	for _, p := range f.tally {
+		t.absDev += p.absDev
+		t.mixedDeg += p.mixedDeg
+		t.off += p.off
+	}
+	f.cur, f.nxt = f.nxt, f.cur
+	return t
+}
+
+// step is range r's share of one superstep. It reduces the r-th slice
+// of the vertices over every range's arrival counts (zeroing them for
+// reuse), then hops the r-th slice of the walkers, counting their
+// arrivals into its own next-round row and their shard crossings.
+// Both halves are pure functions of the walker ids and vertices they
+// cover, so any split yields the same sums.
+func (f *flood) step(r int, roundKey uint64) tally {
+	var t tally
+	ranges, n, walks := len(f.cur), len(f.owner), len(f.pos)
+
+	for v := r * n / ranges; v < (r+1)*n/ranges; v++ {
+		var c int32
+		for _, row := range f.cur {
+			c += row[v]
+			row[v] = 0
+		}
+		dev := f.twoM*int64(c) - f.kDeg[v]
+		if dev < 0 {
+			dev = -dev
+		}
+		t.absDev += dev
+		if float64(dev) <= f.devThresh[v] {
+			t.mixedDeg += int64(f.g.Degree(graph.NodeID(v)))
+		}
+	}
+
+	lo, hi := r*walks/ranges, (r+1)*walks/ranges
+	pos, cnt, owner := f.pos[lo:hi], f.nxt[r], f.owner
+	off32, adj, lazy := f.off32, f.adj, f.lazy
+	key := roundKey + uint64(lo)*hopWalkerMul
+	for i, v := range pos {
+		// The hop is a pure function of (seed, walker id, round): a
+		// lazy coin when measuring the lazy chain, then a uniform
+		// neighbour choice, both from one avalanche hash.
+		h := mix64(key + uint64(i)*hopWalkerMul)
+		next := v
+		if !lazy || h&1 == 0 {
+			if lazy {
+				h >>= 1
+			}
+			if off32 != nil {
+				start := off32[v]
+				next = adj[uint64(start)+(h>>1)%uint64(off32[v+1]-start)]
+			} else {
+				nb := f.g.Neighbors(v)
+				next = nb[(h>>1)%uint64(len(nb))]
+			}
+		}
+		d := owner[v] ^ owner[next] // nonzero iff the hop leaves v's shard
+		t.off += int64((d | -d) >> 31)
+		pos[i] = next
+		cnt[next]++
+	}
+	return t
 }
 
 // mix64 is the splitmix64 finalizer — a full-avalanche bijection used

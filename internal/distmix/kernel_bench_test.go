@@ -13,10 +13,10 @@ import (
 )
 
 // BenchmarkDistMixEstimate measures the distributed walker-flood
-// kernel (superstep engine + per-shard aggregation) at a fixed round
-// budget on the DESIGN.md §7 ablation workload: ε is set unreachably
-// small so every iteration performs the same superstep work
-// regardless of how fast the graph mixes.
+// kernel (flat superstep: walker hops + per-range count reduction) at
+// a fixed round budget on the DESIGN.md §7 ablation workload: ε is
+// set unreachably small so every iteration performs the same
+// superstep work regardless of how fast the graph mixes.
 func BenchmarkDistMixEstimate(b *testing.B) {
 	d, err := datasets.ByName("physics-2")
 	if err != nil {

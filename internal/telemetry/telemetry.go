@@ -76,7 +76,7 @@ const (
 	// would pay for, so they live beside the single-node kernel
 	// counters for direct comparison.
 
-	// DistRounds counts supersteps executed by the distmix engine.
+	// DistRounds counts supersteps executed by the distmix estimator.
 	DistRounds
 	// DistMessages counts every walker message delivered between
 	// supersteps, on-shard and off-shard alike.
