@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 
 	"mixtime/internal/datasets"
 	"mixtime/internal/graph"
@@ -66,8 +67,10 @@ func Figure8(cfg Fig8Config) ([]Fig8Curve, error) {
 }
 
 // Figure8Context is Figure8 with cancellation and progress: ctx is
-// checked per dataset and per walk length, and each finished dataset
-// reports as a KindDatasetDone.
+// checked per dataset, and each finished dataset reports as a
+// KindDatasetDone. One protocol per dataset serves the whole walk
+// sweep: VerifySweep builds each route instance once and reads every
+// route's tail at each w.
 func Figure8Context(ctx context.Context, cfg Fig8Config, obs runner.Observer) ([]Fig8Curve, error) {
 	cfg = cfg.withDefaults()
 	var curves []Fig8Curve
@@ -85,23 +88,21 @@ func Figure8Context(ctx context.Context, cfg Fig8Config, obs runner.Observer) ([
 			sub, _ := graph.BFSSubgraph(g, graph.NodeID(rng.IntN(g.NumNodes())), cfg.Nodes)
 			g, _ = graph.LargestComponent(sub)
 		}
-		curve := Fig8Curve{Dataset: name, Nodes: g.NumNodes(), Edges: g.NumEdges(), W: cfg.Walks}
+		p, err := sybil.NewProtocol(g, sybil.Config{
+			W:    slices.Max(cfg.Walks),
+			R0:   cfg.R0,
+			Seed: cfg.Seed,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("experiments: %s: %w", name, err)
+		}
 		verifier := graph.NodeID(0)
-		suspects := sybil.AllHonest(g, verifier)
-		for _, w := range cfg.Walks {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("experiments: figure8 cancelled at %s w=%d: %w", name, w, err)
-			}
-			p, err := sybil.NewProtocol(g, sybil.Config{
-				W:    w,
-				R0:   cfg.R0,
-				Seed: cfg.Seed,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("experiments: %s w=%d: %w", name, w, err)
-			}
-			res := p.Verify(verifier, suspects)
-			curve.R = res.R
+		results, err := p.VerifySweep(verifier, sybil.AllHonest(g, verifier), cfg.Walks)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: %s: %w", name, err)
+		}
+		curve := Fig8Curve{Dataset: name, Nodes: g.NumNodes(), Edges: g.NumEdges(), R: p.Config().R, W: cfg.Walks}
+		for _, res := range results {
 			curve.Accept = append(curve.Accept, res.AcceptRate())
 		}
 		curves = append(curves, curve)

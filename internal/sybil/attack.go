@@ -1,10 +1,10 @@
 package sybil
 
 import (
+	"fmt"
 	"math/rand/v2"
 
 	"mixtime/internal/graph"
-	"mixtime/internal/walk"
 )
 
 // Attack is a Sybil attack scenario: an honest region and a sybil
@@ -83,9 +83,15 @@ type AttackOutcome struct {
 }
 
 // RunAttack executes SybilLimit from an honest verifier against every
-// other node of the combined graph and classifies the outcomes. The
-// verifier must be honest.
+// other node of the combined graph and classifies the outcomes. A
+// sybil or out-of-range verifier is an error.
 func RunAttack(a *Attack, verifier graph.NodeID, cfg Config) (*AttackOutcome, error) {
+	if err := checkNodes(a.Combined, verifier, nil); err != nil {
+		return nil, err
+	}
+	if a.IsSybil(verifier) {
+		return nil, fmt.Errorf("sybil: verifier %d is a sybil; it must be honest", verifier)
+	}
 	p, err := NewProtocol(a.Combined, cfg)
 	if err != nil {
 		return nil, err
@@ -113,12 +119,14 @@ func RunAttack(a *Attack, verifier graph.NodeID, cfg Config) (*AttackOutcome, er
 // escapedTails counts verifier routes that touch the sybil region.
 func (p *Protocol) escapedTails(a *Attack, verifier graph.NodeID) int {
 	escaped := 0
+	lz := p.x.NewLazy(0)
 	for i := 0; i < p.cfg.R; i++ {
-		r := p.router(i)
-		s := firstSlot(p.cfg.Seed^0xa5a5a5a5, i, verifier, p.g.Degree(verifier))
-		traj := walk.RouteTrace(r, verifier, s, p.cfg.W)
-		for _, v := range traj[1:] {
-			if a.IsSybil(v) {
+		e := p.verifierStart(lz, i, verifier)
+		for h := 1; h <= p.cfg.W; h++ {
+			if h > 1 {
+				e = lz.Next(e)
+			}
+			if a.IsSybil(p.x.Head(e)) {
 				escaped++
 				break
 			}

@@ -2,6 +2,7 @@ package sybil
 
 import (
 	"math/rand/v2"
+	"reflect"
 	"testing"
 
 	"mixtime/internal/gen"
@@ -105,15 +106,119 @@ func TestVerifyDeterministic(t *testing.T) {
 
 func TestLazyMatchesMaterialized(t *testing.T) {
 	g := fastGraph(150)
-	base := Config{W: 6, R: 50, Seed: 13}
-	lazyCfg := base
-	lazyCfg.Lazy = true
-	pm, _ := NewProtocol(g, base)
-	pl, _ := NewProtocol(g, lazyCfg)
-	rm := pm.Verify(2, AllHonest(g, 2))
-	rl := pl.Verify(2, AllHonest(g, 2))
-	if rm.NumAccepted != rl.NumAccepted {
-		t.Fatalf("lazy %d vs materialized %d", rl.NumAccepted, rm.NumAccepted)
+	for _, w := range []int{1, 2, 6, 15, 30} {
+		base := Config{W: w, R: 50, Seed: 13}
+		lazyCfg := base
+		lazyCfg.Lazy = true
+		pm, _ := NewProtocol(g, base)
+		pl, _ := NewProtocol(g, lazyCfg)
+		rm := pm.Verify(2, AllHonest(g, 2))
+		rl := pl.Verify(2, AllHonest(g, 2))
+		if !reflect.DeepEqual(rm, rl) {
+			t.Fatalf("w=%d: lazy %+v vs materialized %+v", w, rl, rm)
+		}
+	}
+}
+
+func TestVerifySweepMatchesVerify(t *testing.T) {
+	ws := []int{6, 1, 6, 30, 2}
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+		cfg  Config
+	}{
+		{"fast", fastGraph(200), Config{R: 37, Seed: 13}},
+		{"slow-floor1", slowGraph(), Config{R: 23, Seed: 2, BalanceFloor: 1}},
+		{"slow-lazy", slowGraph(), Config{R0: 2, Seed: 3, Lazy: true}},
+	} {
+		cfg := tc.cfg
+		cfg.W = 4 // not used by the sweep
+		p, err := NewProtocol(tc.g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		suspects := AllHonest(tc.g, 5)
+		got, err := p.VerifySweep(5, suspects, ws)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(ws) {
+			t.Fatalf("%s: %d results for %d lengths", tc.name, len(got), len(ws))
+		}
+		for q, w := range ws {
+			one := tc.cfg
+			one.W = w
+			pw, err := NewProtocol(tc.g, one)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := pw.Verify(5, suspects); !reflect.DeepEqual(got[q], want) {
+				t.Errorf("%s: ws[%d]=%d: sweep %+v, Verify %+v", tc.name, q, w, got[q], want)
+			}
+		}
+		if got[0] == got[2] {
+			t.Errorf("%s: duplicated length shares one Result", tc.name)
+		}
+	}
+}
+
+func TestVerifySweepValidation(t *testing.T) {
+	g := fastGraph(100)
+	p, err := NewProtocol(g, Config{W: 3, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := graph.NodeID(g.NumNodes())
+	for _, tc := range []struct {
+		name     string
+		verifier graph.NodeID
+		suspects []graph.NodeID
+		ws       []int
+	}{
+		{"zero length", 0, []graph.NodeID{1, 2}, []int{3, 0}},
+		{"negative length", 0, []graph.NodeID{1, 2}, []int{-1}},
+		{"no lengths", 0, []graph.NodeID{1, 2}, nil},
+		{"verifier out of range", n, []graph.NodeID{1, 2}, []int{3}},
+		{"suspect out of range", 0, []graph.NodeID{1, n + 4}, []int{3}},
+	} {
+		if res, err := p.VerifySweep(tc.verifier, tc.suspects, tc.ws); err == nil {
+			t.Errorf("%s: accepted, %d results", tc.name, len(res))
+		}
+	}
+}
+
+// TestVerifySweepRangeInvariant splits the instances into range
+// counts that do not divide R (and one above it): the parallel pass
+// must reproduce the single-range results exactly.
+func TestVerifySweepRangeInvariant(t *testing.T) {
+	ws := []int{1, 3, 6, 12, 30}
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+		cfg  Config
+	}{
+		{"fast", fastGraph(200), Config{W: 1, R: 41, Seed: 9}},
+		{"slow-floor1", slowGraph(), Config{W: 1, R: 29, Seed: 4, BalanceFloor: 1}},
+		{"slow-lazy", slowGraph(), Config{W: 1, R: 5, Seed: 4, Lazy: true}},
+	} {
+		p, err := NewProtocol(tc.g, tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		suspects := AllHonest(tc.g, 1)
+		want, err := p.verifySweep(1, suspects, ws, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ranges := range []int{2, 3, 7} {
+			got, err := p.verifySweep(1, suspects, ws, ranges)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: %d ranges differ from 1", tc.name, ranges)
+			}
+		}
 	}
 }
 
@@ -216,6 +321,38 @@ func TestSybilGuardBaseline(t *testing.T) {
 	}
 	if short.AcceptRate() >= res.AcceptRate() {
 		t.Fatalf("short-walk rate %v ≥ full rate %v", short.AcceptRate(), res.AcceptRate())
+	}
+}
+
+func TestSybilGuardRejectsBadNodes(t *testing.T) {
+	g := fastGraph(50)
+	n := graph.NodeID(g.NumNodes())
+	for name, run := range map[string]func(*graph.Graph, graph.NodeID, []graph.NodeID, GuardConfig) (*GuardResult, error){
+		"SybilGuard": SybilGuard, "SybilGuardFull": SybilGuardFull,
+	} {
+		if _, err := run(g, n, AllHonest(g, 0), GuardConfig{W: 4}); err == nil {
+			t.Errorf("%s: out-of-range verifier accepted", name)
+		}
+		if _, err := run(g, 0, []graph.NodeID{1, n}, GuardConfig{W: 4}); err == nil {
+			t.Errorf("%s: out-of-range suspect accepted", name)
+		}
+		if _, err := run(g, 0, []graph.NodeID{1, 2}, GuardConfig{W: 4}); err != nil {
+			t.Errorf("%s: valid run failed: %v", name, err)
+		}
+	}
+}
+
+func TestRunAttackRejectsBadVerifier(t *testing.T) {
+	a := NewAttack(fastGraph(100), gen.Complete(10), 2, rng(7))
+	cfg := Config{W: 5, R0: 1, Seed: 1}
+	if _, err := RunAttack(a, graph.NodeID(a.HonestN), cfg); err == nil {
+		t.Error("sybil verifier accepted")
+	}
+	if _, err := RunAttack(a, graph.NodeID(a.Combined.NumNodes()), cfg); err == nil {
+		t.Error("out-of-range verifier accepted")
+	}
+	if _, err := RunAttack(a, 3, cfg); err != nil {
+		t.Errorf("honest verifier rejected: %v", err)
 	}
 }
 

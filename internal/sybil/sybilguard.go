@@ -2,6 +2,7 @@ package sybil
 
 import (
 	"errors"
+	"fmt"
 	"math"
 
 	"mixtime/internal/graph"
@@ -43,15 +44,15 @@ func GuardWalkLength(n int) int {
 	return int(math.Ceil(math.Sqrt(float64(n) * math.Log(float64(n)))))
 }
 
-// SybilGuard runs the single-route baseline: every node performs one
-// random route of length w; the verifier accepts a suspect if their
-// routes intersect at a vertex. SybilGuardFull implements the
-// protocol as published (one route per edge); this variant preserves
-// the dependence on mixing that the paper examines, with pessimistic
-// constants.
-func SybilGuard(g *graph.Graph, verifier graph.NodeID, suspects []graph.NodeID, cfg GuardConfig) (*GuardResult, error) {
+// guardRouter validates a SybilGuard run — the graph, the node ids and
+// the route length, defaulting cfg in place — and builds its single
+// route instance.
+func guardRouter(g *graph.Graph, verifier graph.NodeID, suspects []graph.NodeID, cfg *GuardConfig) (*walk.Instance, error) {
 	if g.NumNodes() < 2 || g.MinDegree() < 1 {
 		return nil, errors.New("sybil: graph unsuitable for routing")
+	}
+	if err := checkNodes(g, verifier, suspects); err != nil {
+		return nil, err
 	}
 	if cfg.W == 0 {
 		cfg.W = GuardWalkLength(g.NumNodes())
@@ -62,7 +63,24 @@ func SybilGuard(g *graph.Graph, verifier graph.NodeID, suspects []graph.NodeID, 
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	router := walk.NewInstance(g, cfg.Seed)
+	x, err := walk.NewEdges(g)
+	if err != nil {
+		return nil, fmt.Errorf("sybil: %w", err)
+	}
+	return x.NewInstance(cfg.Seed), nil
+}
+
+// SybilGuard runs the single-route baseline: every node performs one
+// random route of length w; the verifier accepts a suspect if their
+// routes intersect at a vertex. SybilGuardFull implements the
+// protocol as published (one route per edge); this variant preserves
+// the dependence on mixing that the paper examines, with pessimistic
+// constants.
+func SybilGuard(g *graph.Graph, verifier graph.NodeID, suspects []graph.NodeID, cfg GuardConfig) (*GuardResult, error) {
+	router, err := guardRouter(g, verifier, suspects, &cfg)
+	if err != nil {
+		return nil, err
+	}
 
 	vSlot := firstSlot(cfg.Seed^0xa5a5a5a5, 0, verifier, g.Degree(verifier))
 	vTraj := walk.RouteTrace(router, verifier, vSlot, cfg.W)
@@ -98,19 +116,10 @@ func SybilGuard(g *graph.Graph, verifier graph.NodeID, suspects []graph.NodeID, 
 // vertex (SybilGuard's "all my routes must cross the suspect"
 // condition, which its analysis needs for the √n bound).
 func SybilGuardFull(g *graph.Graph, verifier graph.NodeID, suspects []graph.NodeID, cfg GuardConfig) (*GuardResult, error) {
-	if g.NumNodes() < 2 || g.MinDegree() < 1 {
-		return nil, errors.New("sybil: graph unsuitable for routing")
+	router, err := guardRouter(g, verifier, suspects, &cfg)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.W == 0 {
-		cfg.W = GuardWalkLength(g.NumNodes())
-	}
-	if cfg.W < 1 {
-		return nil, errors.New("sybil: route length must be ≥ 1")
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
-	router := walk.NewInstance(g, cfg.Seed)
 
 	// One vertex set per verifier route (per edge slot).
 	dV := g.Degree(verifier)

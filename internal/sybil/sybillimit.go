@@ -12,6 +12,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"runtime"
+	"slices"
+	"sync"
 
 	"mixtime/internal/graph"
 	"mixtime/internal/walk"
@@ -36,8 +39,9 @@ type Config struct {
 	// BalanceMult is h, the multiplier on the average per-tail load
 	// (default 4).
 	BalanceMult float64
-	// Lazy selects PRF-lazy route permutations instead of
-	// materialized ones: slower per step, O(1) memory per instance.
+	// Lazy routes the suspects through PRF-lazy permutations instead
+	// of a materialized table per instance: slower per hop, no O(m)
+	// table. The verifier's routes are always lazy.
 	Lazy bool
 }
 
@@ -96,6 +100,7 @@ func (r *Result) AcceptRate() float64 {
 type Protocol struct {
 	g   *graph.Graph
 	cfg Config
+	x   *walk.Edges
 }
 
 // NewProtocol validates the configuration against the graph. The
@@ -112,16 +117,15 @@ func NewProtocol(g *graph.Graph, cfg Config) (*Protocol, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Protocol{g: g, cfg: cfg}, nil
+	x, err := walk.NewEdges(g)
+	if err != nil {
+		return nil, fmt.Errorf("sybil: %w", err)
+	}
+	return &Protocol{g: g, cfg: cfg, x: x}, nil
 }
 
 // Config returns the effective configuration (with derived defaults).
 func (p *Protocol) Config() Config { return p.cfg }
-
-// edgeKey packs a directed edge for map/compare use.
-func edgeKey(e walk.DirectedEdge) uint64 {
-	return uint64(e.From)<<32 | uint64(e.To)
-}
 
 // firstSlot derives the deterministic first hop a node takes in an
 // instance, uniform over its edge slots.
@@ -133,28 +137,37 @@ func firstSlot(seed uint64, instance int, v graph.NodeID, deg int) int {
 	return int(x % uint64(deg))
 }
 
-// router builds the route instance for one protocol instance.
-func (p *Protocol) router(instance int) walk.Router {
-	seed := p.cfg.Seed*0x100000001b3 + uint64(instance)
-	if p.cfg.Lazy {
-		return walk.NewLazy(p.g, seed)
+// instanceSeed is the route-permutation seed of one protocol instance.
+func (p *Protocol) instanceSeed(instance int) uint64 {
+	return p.cfg.Seed*0x100000001b3 + uint64(instance)
+}
+
+// verifierStart re-keys lz to one instance and returns the first edge
+// of the verifier's route in it; stepping lz from there walks the
+// route with no instance table built. The verifier's routes use an
+// independent first-slot stream (different salt), so they are
+// uncorrelated with a suspect route started at the same node.
+func (p *Protocol) verifierStart(lz *walk.Lazy, instance int, verifier graph.NodeID) uint32 {
+	lz.Reset(p.instanceSeed(instance))
+	return p.x.Edge(verifier, firstSlot(p.cfg.Seed^0xa5a5a5a5, instance, verifier, p.g.Degree(verifier)))
+}
+
+// Verify runs the full SybilLimit admission protocol at the
+// configured route length W: VerifySweep over the single length. It
+// panics if the verifier or a suspect is not a node of the graph.
+func (p *Protocol) Verify(verifier graph.NodeID, suspects []graph.NodeID) *Result {
+	res, err := p.VerifySweep(verifier, suspects, []int{p.cfg.W})
+	if err != nil {
+		panic(err)
 	}
-	return walk.NewInstance(p.g, seed)
+	return res[0]
 }
 
-// verifierTail computes the verifier's route tail in one instance.
-// The verifier's routes use an independent first-slot stream
-// (different salt), so they are uncorrelated with a suspect route
-// started at the same node.
-func (p *Protocol) verifierTail(instance int, verifier graph.NodeID, r walk.Router) uint64 {
-	vs := firstSlot(p.cfg.Seed^0xa5a5a5a5, instance, verifier, p.g.Degree(verifier))
-	return edgeKey(walk.Route(r, verifier, vs, p.cfg.W))
-}
-
-// Verify runs the full SybilLimit admission protocol. The verifier
-// and every suspect perform one random route of length w in each of
-// the r instances; a suspect's tail set (the last directed edges of
-// its routes) must intersect the verifier's tail set — with
+// VerifySweep runs the SybilLimit admission protocol once per route
+// length in ws and returns the Results in the order of ws. The
+// verifier and every suspect perform one random route of length w in
+// each of the r instances; a suspect's tail set (the last directed
+// edges of its routes) must intersect the verifier's tail set — with
 // r = r₀·√m both sets are ~√m uniform samples of the edge set, so
 // honest pairs intersect with high probability by the birthday
 // paradox, provided w reaches the mixing time. The suspect is then
@@ -162,40 +175,199 @@ func (p *Protocol) verifierTail(instance int, verifier graph.NodeID, r walk.Rout
 // intersecting verifier tail must stay below max(b₀, h·(A+1)/r),
 // where A counts prior admissions — the mechanism that caps what an
 // adversary gains from tails escaped into a sybil region.
-func (p *Protocol) Verify(verifier graph.NodeID, suspects []graph.NodeID) *Result {
+//
+// A route of length w is a prefix of the route of length max(ws) in
+// the same instance, so the sweep walks each (instance, node) route
+// once and reads its tail at every w; each result equals a Verify at
+// that W. The configured W is not used.
+func (p *Protocol) VerifySweep(verifier graph.NodeID, suspects []graph.NodeID, ws []int) ([]*Result, error) {
+	return p.verifySweep(verifier, suspects, ws, runtime.GOMAXPROCS(0))
+}
+
+// verifySweep is VerifySweep with the instances split into the given
+// number of contiguous ranges routed in parallel; the results do not
+// depend on it.
+func (p *Protocol) verifySweep(verifier graph.NodeID, suspects []graph.NodeID, ws []int, ranges int) ([]*Result, error) {
+	if err := checkNodes(p.g, verifier, suspects); err != nil {
+		return nil, err
+	}
+	if len(ws) == 0 {
+		return nil, errors.New("sybil: no route lengths to verify")
+	}
+	for _, w := range ws {
+		if w < 1 {
+			return nil, fmt.Errorf("sybil: route length %d must be ≥ 1", w)
+		}
+	}
+	lens := slices.Clone(ws)
+	slices.Sort(lens)
+	lens = slices.Compact(lens)
+
+	// Pass 1: the verifier's r routes, their tails indexed per length.
+	tails := make([]tailSet, len(lens))
+	for k := range tails {
+		tails[k] = newTailSet(2 * p.g.NumEdges())
+	}
+	lz := p.x.NewLazy(0)
+	vt := make([]uint32, len(lens))
+	for i := 0; i < p.cfg.R; i++ {
+		walk.Tails(lz, p.verifierStart(lz, i, verifier), lens, vt)
+		for k, e := range vt {
+			tails[k].add(e, int32(i))
+		}
+	}
+	// Pass 2: every suspect's routes, instance by instance, recording
+	// per length which verifier tails each one hits.
+	hits := p.intersect(suspects, lens, tails, ranges)
+	// Pass 3: the balance condition, per length.
+	out := make([]*Result, len(ws))
+	for q, w := range ws {
+		k, _ := slices.BinarySearch(lens, w)
+		out[q] = p.balance(verifier, suspects, w, hits[k])
+	}
+	return out, nil
+}
+
+// checkNodes reports a verifier or suspect that is not a node of g.
+func checkNodes(g *graph.Graph, verifier graph.NodeID, suspects []graph.NodeID) error {
+	n := g.NumNodes()
+	if int(verifier) >= n {
+		return fmt.Errorf("sybil: verifier %d out of range [0, %d)", verifier, n)
+	}
+	for _, s := range suspects {
+		if int(s) >= n {
+			return fmt.Errorf("sybil: suspect %d out of range [0, %d)", s, n)
+		}
+	}
+	return nil
+}
+
+// tailSet indexes the verifier's tails at one route length: mark has
+// bit e set when some instance's tail is edge e (a cheap filter for
+// the common miss), and idx lists the instances holding each tail
+// edge in ascending order (several may share one).
+type tailSet struct {
+	mark []uint64
+	idx  map[uint32][]int32
+}
+
+func newTailSet(edges int64) tailSet {
+	return tailSet{mark: make([]uint64, (edges+63)/64), idx: map[uint32][]int32{}}
+}
+
+func (t tailSet) add(e uint32, instance int32) {
+	t.mark[e/64] |= 1 << (e % 64)
+	t.idx[e] = append(t.idx[e], instance)
+}
+
+// hits returns the instances whose verifier tail is edge e.
+func (t tailSet) hits(e uint32) []int32 {
+	if t.mark[e/64]&(1<<(e%64)) == 0 {
+		return nil
+	}
+	return t.idx[e]
+}
+
+// hitLists holds, per suspect, the verifier tail indices its tails
+// hit, in instance order, as one CSR array.
+type hitLists struct {
+	start []int32 // suspect j's hits are vals[start[j]:start[j+1]]
+	vals  []int32
+}
+
+func (h hitLists) of(j int) []int32 { return h.vals[h.start[j]:h.start[j+1]] }
+
+// tableBudget caps the bytes of successor tables (8m each) the
+// suspect pass holds at once; on graphs too large for one table per
+// range it runs fewer ranges.
+const tableBudget = 1 << 30
+
+// intersect routes every suspect in every instance and returns, per
+// route length, each suspect's hit list. The instances are split into
+// contiguous ranges routed concurrently, each on its own route table;
+// a range records its hits as packed (suspect, verifier tail) pairs
+// in instance order, and concatenating the ranges in order keeps
+// every list in instance order, so the result does not depend on the
+// range count.
+func (p *Protocol) intersect(suspects []graph.NodeID, lens []int, tails []tailSet, ranges int) []hitLists {
+	ranges = max(1, min(ranges, p.cfg.R, int(tableBudget/(8*p.g.NumEdges()))))
+	parts := make([][][]uint64, ranges) // [range][length] packed hits
+	var wg sync.WaitGroup
+	for t := range parts {
+		lo, hi := t*p.cfg.R/ranges, (t+1)*p.cfg.R/ranges
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			parts[t] = p.intersectRange(lo, hi, suspects, lens, tails)
+		}()
+	}
+	wg.Wait()
+	out := make([]hitLists, len(lens))
+	for k := range out {
+		start := make([]int32, len(suspects)+1)
+		for _, part := range parts {
+			for _, h := range part[k] {
+				start[h>>32+1]++
+			}
+		}
+		for j := range suspects {
+			start[j+1] += start[j]
+		}
+		vals := make([]int32, start[len(suspects)])
+		fill := slices.Clone(start[:len(suspects)])
+		for _, part := range parts {
+			for _, h := range part[k] {
+				j := h >> 32
+				vals[fill[j]] = int32(uint32(h))
+				fill[j]++
+			}
+		}
+		out[k] = hitLists{start: start, vals: vals}
+	}
+	return out
+}
+
+// intersectRange routes every suspect through instances [lo, hi) and
+// returns, per route length, the packed (suspect<<32 | verifier tail)
+// hits in instance order.
+func (p *Protocol) intersectRange(lo, hi int, suspects []graph.NodeID, lens []int, tails []tailSet) [][]uint64 {
+	var r walk.Router
+	if p.cfg.Lazy {
+		r = p.x.NewLazy(p.instanceSeed(lo))
+	} else {
+		r = p.x.NewInstance(p.instanceSeed(lo))
+	}
+	out := make([][]uint64, len(lens))
+	st := make([]uint32, len(lens))
+	for i := lo; i < hi; i++ {
+		if i > lo {
+			r.Reset(p.instanceSeed(i))
+		}
+		for j, v := range suspects {
+			s := firstSlot(p.cfg.Seed, i, v, p.g.Degree(v))
+			walk.Tails(r, p.x.Edge(v, s), lens, st)
+			for k, e := range st {
+				for _, vi := range tails[k].hits(e) {
+					out[k] = append(out[k], uint64(j)<<32|uint64(vi))
+				}
+			}
+		}
+	}
+	return out
+}
+
+// balance applies the balance condition at route length w: suspects
+// in a seed-determined random order (arrival order matters for load),
+// each admitted through its least-loaded intersecting verifier tail
+// while that load stays under the threshold.
+func (p *Protocol) balance(verifier graph.NodeID, suspects []graph.NodeID, w int, hits hitLists) *Result {
 	res := &Result{
 		Verifier: verifier,
 		Suspects: suspects,
 		Accepted: make([]bool, len(suspects)),
 		R:        p.cfg.R,
-		W:        p.cfg.W,
+		W:        w,
 	}
-	// Pass 1: the verifier's r tails, indexed for membership tests.
-	// vTailIdx maps a tail edge to the verifier tail indices holding
-	// it (several instances may share a tail edge). Route instances
-	// are rebuilt per pass rather than cached: caching all r of them
-	// would cost O(r·m) memory, while rebuilding is O(m) against the
-	// O(n·w) routing work each instance already does.
-	vTailIdx := make(map[uint64][]int32, p.cfg.R)
-	for i := 0; i < p.cfg.R; i++ {
-		key := p.verifierTail(i, verifier, p.router(i))
-		vTailIdx[key] = append(vTailIdx[key], int32(i))
-	}
-	// Pass 2: per instance, compute every suspect's tail and record
-	// which verifier tails it hits (across all instances).
-	intersecting := make([][]int32, len(suspects))
-	for i := 0; i < p.cfg.R; i++ {
-		r := p.router(i)
-		for j, v := range suspects {
-			s := firstSlot(p.cfg.Seed, i, v, p.g.Degree(v))
-			key := edgeKey(walk.Route(r, v, s, p.cfg.W))
-			if hits, ok := vTailIdx[key]; ok {
-				intersecting[j] = append(intersecting[j], hits...)
-			}
-		}
-	}
-	// Pass 3: sequential balance condition over the suspects in a
-	// seed-determined random order (arrival order matters for load).
 	order := make([]int, len(suspects))
 	for i := range order {
 		order[i] = i
@@ -206,7 +378,7 @@ func (p *Protocol) Verify(verifier graph.NodeID, suspects []graph.NodeID) *Resul
 	loads := make([]int, p.cfg.R)
 	admitted := 0
 	for _, j := range order {
-		insts := intersecting[j]
+		insts := hits.of(j)
 		if len(insts) == 0 {
 			res.NoIntersection++
 			continue

@@ -6,17 +6,25 @@
 // back-traceable (the slot maps are bijections).
 //
 // Random and Tail cover the plain-walk needs of the defenses and the
-// Whānau tail-distribution experiments. Routes come in two storage
-// strategies with identical outputs: materialized permutations (an
-// O(m) table per instance, fastest to traverse) and PRF-lazy
-// permutations derived per (node, instance) from a keyed SplitMix64,
-// which cost more per step but keep memory at O(tails) — the
-// trade-off measured by BenchmarkRoutePermutations and discussed in
-// DESIGN.md §7. All randomness flows from caller-provided seeds, so
-// defense experiments are reproducible run to run.
+// Whānau tail-distribution experiments.
+//
+// Routes step over directed-edge ids: the directed edge u→v is its
+// CSR position e in u's adjacency block, and Edges, built once per
+// graph, holds the reverse-edge table rev[e] (the position of v→u).
+// A route instance maps each incoming edge id to the outgoing one, so
+// a hop is one table load with no adjacency search. Instances come in
+// two storage strategies with identical routes: Instance materializes
+// the successor table (2m ids, rebuilt in place per instance seed,
+// fastest to traverse) and Lazy regenerates the one permutation a hop
+// needs from a keyed SplitMix64 (O(max degree) memory, O(deg) work
+// per hop) — the trade-off measured by BenchmarkRoutePermutations and
+// discussed in DESIGN.md §7. All randomness flows from caller-provided
+// seeds, so defense experiments are reproducible run to run.
 package walk
 
 import (
+	"errors"
+	"fmt"
 	"math/rand/v2"
 
 	"mixtime/internal/fastrand"
@@ -123,8 +131,10 @@ func (s *smRand) next() uint64 {
 	return x ^ (x >> 31)
 }
 
-// intn returns a uniform value in [0, n) (n > 0) by rejection-free
-// multiply-shift; bias is negligible for the degree ranges involved.
+// intn returns a value in [0, n) (n > 0) as the top 53 bits of the
+// next output reduced modulo n. The modulo bias is negligible for the
+// degree ranges involved; the reduction is part of every route's
+// definition, so changing it would move every route.
 func (s *smRand) intn(n int) int {
 	return int((s.next() >> 11) % uint64(n))
 }
@@ -142,103 +152,194 @@ func fillPerm(dst []uint32, d int, seed uint64) {
 	}
 }
 
-// Router steps random routes: given the directed edge (from → at)
-// just traversed, it returns the next hop out of at.
-type Router interface {
-	// Graph returns the routed graph.
-	Graph() *graph.Graph
-	// Step maps the incoming directed edge (from, at) to the next
-	// vertex after at.
-	Step(from, at graph.NodeID) graph.NodeID
+// nodeKey is the per-node half of a permutation seed; an instance's
+// permutation at v is seeded splitmix64(instance seed) ^ nodeKey(v).
+func nodeKey(v int) uint64 { return splitmix64(uint64(v) + 0x5bd1) }
+
+// Edges indexes a graph's directed edges for random routes. The
+// directed edge u→v has id e, its position in u's CSR adjacency block
+// (Adjacency()[e] == v); rev[e] is the id of v→u. One Edges serves
+// every route instance over the graph and is safe for concurrent use.
+type Edges struct {
+	g      *graph.Graph
+	off    []uint32
+	adj    []graph.NodeID
+	rev    []uint32
+	maxDeg int
 }
 
-// Instance is a materialized random-route instance: every node's
-// permutation is precomputed, O(2m) memory, O(1) per step. Build one
-// per SybilLimit instance, route all nodes, then discard.
+// NewEdges builds the reverse-edge table of g with one EdgeSlot
+// search per undirected edge — the only slot lookups routes make.
+// Edge ids are 32-bit; a graph whose adjacency does not fit
+// (2m ≥ 2³², Offsets32 nil) is an error.
+func NewEdges(g *graph.Graph) (*Edges, error) {
+	off := g.Offsets32()
+	if off == nil {
+		if g.NumNodes() == 0 {
+			return nil, errors.New("walk: empty graph")
+		}
+		return nil, fmt.Errorf("walk: %d directed edges overflow 32-bit route ids", 2*g.NumEdges())
+	}
+	adj := g.Adjacency()
+	rev := make([]uint32, len(adj))
+	for u := range graph.NodeID(g.NumNodes()) {
+		for e := off[u]; e < off[u+1]; e++ {
+			if v := adj[e]; v > u {
+				r := off[v] + uint32(g.EdgeSlot(v, u))
+				rev[e], rev[r] = r, e
+			}
+		}
+	}
+	return &Edges{g: g, off: off, adj: adj, rev: rev, maxDeg: g.MaxDegree()}, nil
+}
+
+// Graph returns the indexed graph.
+func (x *Edges) Graph() *graph.Graph { return x.g }
+
+// Edge returns the id of the edge leaving v by its given slot.
+func (x *Edges) Edge(v graph.NodeID, slot int) uint32 { return x.off[v] + uint32(slot) }
+
+// Head returns the vertex edge e enters.
+func (x *Edges) Head(e uint32) graph.NodeID { return x.adj[e] }
+
+// Directed returns edge e as a (from, to) pair.
+func (x *Edges) Directed(e uint32) DirectedEdge {
+	return DirectedEdge{From: x.adj[x.rev[e]], To: x.adj[e]}
+}
+
+// Router steps random routes over directed-edge ids.
+type Router interface {
+	// Edges returns the routed graph's edge index.
+	Edges() *Edges
+	// Next maps the edge a route just traversed to the edge it
+	// traverses next, out of that edge's head.
+	Next(e uint32) uint32
+	// Reset re-keys the router to another instance seed.
+	Reset(seed uint64)
+}
+
+// Instance is a materialized random-route instance: the successor
+// table next[e] = off[v] + σ_v(rev[e] − off[v]) with v the head of e
+// and σ_v v's permutation, 2m ids, O(1) per hop. Reset rebuilds it in
+// place for another instance, so one table serves a sweep of
+// instances. Not safe for concurrent use.
 type Instance struct {
-	g    *graph.Graph
-	perm []uint32 // CSR-aligned: perm over v's slots at v's offset
-	off  []int64
+	x    *Edges
+	next []uint32
+	perm []uint32 // max-degree scratch for one node's permutation
 }
 
 // NewInstance materializes the route permutations for the given
 // instance seed.
-func NewInstance(g *graph.Graph, seed uint64) *Instance {
-	n := g.NumNodes()
-	off := make([]int64, n+1)
-	for v := 0; v < n; v++ {
-		off[v+1] = off[v] + int64(g.Degree(graph.NodeID(v)))
+func (x *Edges) NewInstance(seed uint64) *Instance {
+	in := &Instance{x: x, next: make([]uint32, len(x.adj)), perm: make([]uint32, x.maxDeg)}
+	in.Reset(seed)
+	return in
+}
+
+// Edges implements Router.
+func (in *Instance) Edges() *Edges { return in.x }
+
+// Next implements Router.
+func (in *Instance) Next(e uint32) uint32 { return in.next[e] }
+
+// Reset implements Router. Slot k of v is the reverse of the edge
+// entering v by slot k, so v's permutation scatters into the entries
+// of v's in-edges.
+func (in *Instance) Reset(seed uint64) {
+	x, key := in.x, splitmix64(seed)
+	for v := 0; v+1 < len(x.off); v++ {
+		o := x.off[v]
+		d := int(x.off[v+1] - o)
+		p := in.perm[:d]
+		fillPerm(p, d, key^nodeKey(v))
+		for k, s := range p {
+			in.next[x.rev[o+uint32(k)]] = o + s
+		}
 	}
-	perm := make([]uint32, off[n])
-	for v := 0; v < n; v++ {
-		d := g.Degree(graph.NodeID(v))
-		fillPerm(perm[off[v]:off[v+1]], d, splitmix64(seed)^splitmix64(uint64(v)+0x5bd1))
-	}
-	return &Instance{g: g, perm: perm, off: off}
 }
 
-// Graph returns the routed graph.
-func (in *Instance) Graph() *graph.Graph { return in.g }
-
-// Step implements Router.
-func (in *Instance) Step(from, at graph.NodeID) graph.NodeID {
-	slot := in.g.EdgeSlot(at, from)
-	out := in.perm[in.off[at]+int64(slot)]
-	return in.g.Neighbors(at)[out]
-}
-
-// Lazy is a route instance that regenerates each node's permutation
-// on demand from the PRF seed: zero persistent memory, O(deg) work
-// per step. The memory/time trade-off against Instance is an ablation
-// benchmark in the harness.
-type Lazy struct {
-	g       *graph.Graph
-	seed    uint64
-	scratch []uint32
-}
-
-// NewLazy creates a lazy route instance. Not safe for concurrent use
+// Lazy is a route instance that regenerates, per hop, the permutation
+// of the node it enters from the PRF seed: no per-instance table,
+// O(deg) work per hop. The memory/time trade-off against Instance is
+// an ablation benchmark in the harness. Not safe for concurrent use
 // (it reuses a scratch buffer).
-func NewLazy(g *graph.Graph, seed uint64) *Lazy {
-	return &Lazy{g: g, seed: seed, scratch: make([]uint32, g.MaxDegree())}
+type Lazy struct {
+	x    *Edges
+	key  uint64
+	perm []uint32
 }
 
-// Graph returns the routed graph.
-func (l *Lazy) Graph() *graph.Graph { return l.g }
+// NewLazy creates a lazy route instance.
+func (x *Edges) NewLazy(seed uint64) *Lazy {
+	return &Lazy{x: x, key: splitmix64(seed), perm: make([]uint32, x.maxDeg)}
+}
 
-// Step implements Router.
-func (l *Lazy) Step(from, at graph.NodeID) graph.NodeID {
-	d := l.g.Degree(at)
-	p := l.scratch[:d]
-	fillPerm(p, d, splitmix64(l.seed)^splitmix64(uint64(at)+0x5bd1))
-	slot := l.g.EdgeSlot(at, from)
-	return l.g.Neighbors(at)[p[slot]]
+// Edges implements Router.
+func (l *Lazy) Edges() *Edges { return l.x }
+
+// Reset implements Router.
+func (l *Lazy) Reset(seed uint64) { l.key = splitmix64(seed) }
+
+// Next implements Router.
+func (l *Lazy) Next(e uint32) uint32 {
+	x := l.x
+	v := x.adj[e]
+	o := x.off[v]
+	d := int(x.off[v+1] - o)
+	p := l.perm[:d]
+	fillPerm(p, d, l.key^nodeKey(int(v)))
+	return o + p[x.rev[e]-o]
+}
+
+// Tails walks the route that leaves along e (its first edge) to the
+// longest length in lens, which must be ascending and ≥ 1, and stores
+// in tails[k] the tail of the route's length-lens[k] prefix: a route
+// of length w is a prefix of every longer route of the same instance,
+// so one walk serves a whole sweep of lengths. A materialized Instance
+// is stepped without interface dispatch.
+func Tails(r Router, e uint32, lens []int, tails []uint32) {
+	h := 1
+	if in, ok := r.(*Instance); ok {
+		next := in.next
+		for k, w := range lens {
+			for ; h < w; h++ {
+				e = next[e]
+			}
+			tails[k] = e
+		}
+		return
+	}
+	for k, w := range lens {
+		for ; h < w; h++ {
+			e = r.Next(e)
+		}
+		tails[k] = e
+	}
 }
 
 // Route walks a random route of length w (w ≥ 1 edges) from start,
 // taking the given first slot out of start, and returns the tail (the
 // last directed edge traversed).
 func Route(r Router, start graph.NodeID, firstSlot, w int) DirectedEdge {
-	g := r.Graph()
-	from := start
-	at := g.Neighbors(start)[firstSlot]
+	x := r.Edges()
+	e := x.Edge(start, firstSlot)
 	for i := 1; i < w; i++ {
-		from, at = at, r.Step(from, at)
+		e = r.Next(e)
 	}
-	return DirectedEdge{From: from, To: at}
+	return x.Directed(e)
 }
 
 // RouteTrace is Route returning the full vertex trajectory
 // (w+1 vertices), for tests and diagnostics.
 func RouteTrace(r Router, start graph.NodeID, firstSlot, w int) []graph.NodeID {
-	g := r.Graph()
+	x := r.Edges()
+	e := x.Edge(start, firstSlot)
 	traj := make([]graph.NodeID, 0, w+1)
-	from := start
-	at := g.Neighbors(start)[firstSlot]
-	traj = append(traj, from, at)
+	traj = append(traj, start, x.adj[e])
 	for i := 1; i < w; i++ {
-		from, at = at, r.Step(from, at)
-		traj = append(traj, at)
+		e = r.Next(e)
+		traj = append(traj, x.adj[e])
 	}
 	return traj
 }
@@ -246,6 +347,6 @@ func RouteTrace(r Router, start graph.NodeID, firstSlot, w int) []graph.NodeID {
 // RandomRoute walks a route with a uniformly random first hop — the
 // verifier/suspect behaviour in SybilLimit — and returns its tail.
 func RandomRoute(r Router, start graph.NodeID, w int, rng *rand.Rand) DirectedEdge {
-	d := r.Graph().Degree(start)
+	d := r.Edges().Graph().Degree(start)
 	return Route(r, start, rng.IntN(d), w)
 }

@@ -3,6 +3,7 @@ package walk
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -66,16 +67,43 @@ func TestEndpointDistributionOnCompleteGraph(t *testing.T) {
 	}
 }
 
+// mustEdges indexes g for routing or fails the test.
+func mustEdges(tb testing.TB, g *graph.Graph) *Edges {
+	tb.Helper()
+	x, err := NewEdges(g)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return x
+}
+
+// inEdges returns the ids of the directed edges entering at.
+func inEdges(x *Edges, at graph.NodeID) []uint32 {
+	var out []uint32
+	for k := range x.Graph().Degree(at) {
+		out = append(out, x.rev[x.Edge(at, k)])
+	}
+	return out
+}
+
 func TestInstanceStepBijective(t *testing.T) {
-	// For each node, the map (incoming slot → outgoing slot) must be a
+	// For each node, the map (incoming edge → outgoing edge) must be a
 	// bijection: every outgoing edge used exactly once.
 	g := gen.BarabasiAlbert(100, 3, rng(5))
-	in := NewInstance(g, 99)
+	x := mustEdges(t, g)
+	in := x.NewInstance(99)
 	for v := 0; v < g.NumNodes(); v++ {
 		at := graph.NodeID(v)
 		used := map[graph.NodeID]int{}
-		for _, from := range g.Neighbors(at) {
-			used[in.Step(from, at)]++
+		for _, e := range inEdges(x, at) {
+			if x.Head(e) != at {
+				t.Fatalf("node %d: in-edge %d enters %d", v, e, x.Head(e))
+			}
+			out := in.Next(e)
+			if x.Directed(out).From != at {
+				t.Fatalf("node %d: successor %v does not leave it", v, x.Directed(out))
+			}
+			used[x.Head(out)]++
 		}
 		if len(used) != g.Degree(at) {
 			t.Fatalf("node %d: %d distinct outputs for %d inputs", v, len(used), g.Degree(at))
@@ -93,17 +121,97 @@ func TestInstanceStepBijective(t *testing.T) {
 
 func TestLazyMatchesInstance(t *testing.T) {
 	g := gen.WattsStrogatz(150, 3, 0.3, rng(6))
+	x := mustEdges(t, g)
 	seed := uint64(424242)
-	mat := NewInstance(g, seed)
-	lazy := NewLazy(g, seed)
-	for v := 0; v < g.NumNodes(); v++ {
-		at := graph.NodeID(v)
-		for _, from := range g.Neighbors(at) {
-			a := mat.Step(from, at)
-			b := lazy.Step(from, at)
-			if a != b {
-				t.Fatalf("node %d from %d: materialized %d vs lazy %d", at, from, a, b)
+	mat := x.NewInstance(seed)
+	lazy := x.NewLazy(seed)
+	for e := range uint32(2 * g.NumEdges()) {
+		if a, b := mat.Next(e), lazy.Next(e); a != b {
+			t.Fatalf("edge %v: materialized %d vs lazy %d", x.Directed(e), a, b)
+		}
+	}
+}
+
+func TestEdgesReverse(t *testing.T) {
+	g := gen.CommunityBA(3, 40, 2, 3, rng(12))
+	x := mustEdges(t, g)
+	for e := range uint32(2 * g.NumEdges()) {
+		d, r := x.Directed(e), x.Directed(x.rev[e])
+		if x.rev[x.rev[e]] != e || r.From != d.To || r.To != d.From {
+			t.Fatalf("edge %d %v: reverse %d %v", e, d, x.rev[e], r)
+		}
+		if int(x.rev[e]) != int(g.AdjacencyOffset(d.To))+g.EdgeSlot(d.To, d.From) {
+			t.Fatalf("edge %v: reverse id %d disagrees with EdgeSlot", d, x.rev[e])
+		}
+	}
+	if _, err := NewEdges(&graph.Graph{}); err == nil {
+		t.Fatal("empty graph indexed")
+	}
+}
+
+// refTrace is the vertex-stepping reference route: at each hop it
+// finds the incoming slot with EdgeSlot and applies the node's
+// permutation, with the same seed derivation as Instance and Lazy.
+func refTrace(g *graph.Graph, seed uint64, start graph.NodeID, firstSlot, w int) []graph.NodeID {
+	traj := []graph.NodeID{start, g.Neighbors(start)[firstSlot]}
+	perm := make([]uint32, g.MaxDegree())
+	for len(traj) < w+1 {
+		from, at := traj[len(traj)-2], traj[len(traj)-1]
+		d := g.Degree(at)
+		fillPerm(perm[:d], d, splitmix64(seed)^splitmix64(uint64(at)+0x5bd1))
+		traj = append(traj, g.Neighbors(at)[perm[g.EdgeSlot(at, from)]])
+	}
+	return traj
+}
+
+func TestRoutesMatchEdgeSlotReference(t *testing.T) {
+	const w = 12
+	lens := []int{1, 2, 5, 5, w}
+	tails := make([]uint32, len(lens))
+	for _, g := range []*graph.Graph{
+		gen.BarabasiAlbert(120, 3, rng(13)),
+		gen.WithPendants(gen.WattsStrogatz(80, 2, 0.2, rng(14)), 10, rng(15)),
+	} {
+		x := mustEdges(t, g)
+		for _, seed := range []uint64{1, 0xfeed} {
+			routers := []Router{x.NewInstance(seed), x.NewLazy(seed)}
+			for v := 0; v < g.NumNodes(); v++ {
+				for slot := range g.Degree(graph.NodeID(v)) {
+					want := refTrace(g, seed, graph.NodeID(v), slot, w)
+					for _, r := range routers {
+						got := RouteTrace(r, graph.NodeID(v), slot, w)
+						if !slices.Equal(got, want) {
+							t.Fatalf("%T seed %d from %d slot %d:\n got %v\nwant %v", r, seed, v, slot, got, want)
+						}
+						if tail := Route(r, graph.NodeID(v), slot, w); tail != (DirectedEdge{From: want[w-1], To: want[w]}) {
+							t.Fatalf("%T seed %d from %d slot %d: tail %v", r, seed, v, slot, tail)
+						}
+						Tails(r, x.Edge(graph.NodeID(v), slot), lens, tails)
+						for k, l := range lens {
+							if d := x.Directed(tails[k]); d != (DirectedEdge{From: want[l-1], To: want[l]}) {
+								t.Fatalf("%T seed %d from %d slot %d: length-%d tail %v", r, seed, v, slot, l, d)
+							}
+						}
+					}
+				}
 			}
+		}
+	}
+}
+
+func TestResetMatchesFresh(t *testing.T) {
+	g := gen.BarabasiAlbert(90, 4, rng(16))
+	x := mustEdges(t, g)
+	in, lazy := x.NewInstance(1), x.NewLazy(1)
+	in.Reset(77)
+	lazy.Reset(77)
+	fresh := x.NewInstance(77)
+	if !slices.Equal(in.next, fresh.next) {
+		t.Fatal("Reset instance differs from a fresh one")
+	}
+	for e := range uint32(len(fresh.next)) {
+		if lazy.Next(e) != fresh.next[e] {
+			t.Fatalf("reset lazy differs at edge %d", e)
 		}
 	}
 }
@@ -112,17 +220,18 @@ func TestRouteConvergence(t *testing.T) {
 	// Two routes that traverse the same directed edge continue
 	// identically afterwards.
 	g := gen.BarabasiAlbert(300, 4, rng(8))
-	in := NewInstance(g, 7)
+	in := mustEdges(t, g).NewInstance(7)
 	// Route A from node 0 slot 0; route B enters A's second vertex via
 	// the same directed edge — suffixes must coincide.
 	trajA := RouteTrace(in, 0, 0, 20)
-	// B starts at trajA[1] entered from trajA[0]: simulate by stepping
-	// manually from that directed edge.
-	from, at := trajA[0], trajA[1]
+	// B enters along the directed edge trajA[0]→trajA[1]: step
+	// manually from that edge.
+	x := in.Edges()
+	e := x.Edge(trajA[0], g.EdgeSlot(trajA[0], trajA[1]))
 	for i := 1; i < 20; i++ {
-		from, at = at, in.Step(from, at)
-		if at != trajA[i+1] {
-			t.Fatalf("routes diverged at step %d: %d vs %d", i, at, trajA[i+1])
+		e = in.Next(e)
+		if x.Head(e) != trajA[i+1] {
+			t.Fatalf("routes diverged at step %d: %d vs %d", i, x.Head(e), trajA[i+1])
 		}
 	}
 }
@@ -130,9 +239,10 @@ func TestRouteConvergence(t *testing.T) {
 func TestRouteDeterministicPerInstance(t *testing.T) {
 	g := gen.CommunityBA(3, 60, 3, 10, rng(9))
 	lcc, _ := graph.LargestComponent(g)
-	in1 := NewInstance(lcc, 1)
-	in2 := NewInstance(lcc, 1)
-	in3 := NewInstance(lcc, 2)
+	x := mustEdges(t, lcc)
+	in1 := x.NewInstance(1)
+	in2 := x.NewInstance(1)
+	in3 := x.NewInstance(2)
 	tail1 := Route(in1, 5, 0, 15)
 	tail2 := Route(in2, 5, 0, 15)
 	if tail1 != tail2 {
@@ -152,7 +262,7 @@ func TestRouteDeterministicPerInstance(t *testing.T) {
 
 func TestRouteTraceOnEdges(t *testing.T) {
 	g := gen.Grid(10, 10)
-	in := NewInstance(g, 77)
+	in := mustEdges(t, g).NewInstance(77)
 	traj := RouteTrace(in, 0, 0, 30)
 	if len(traj) != 31 {
 		t.Fatalf("trace length %d", len(traj))
@@ -170,7 +280,7 @@ func TestRouteTraceOnEdges(t *testing.T) {
 
 func TestRandomRouteUsesAllFirstSlots(t *testing.T) {
 	g := gen.Complete(5)
-	in := NewInstance(g, 3)
+	in := mustEdges(t, g).NewInstance(3)
 	r := rng(10)
 	firsts := map[graph.NodeID]bool{}
 	for i := 0; i < 200; i++ {
@@ -192,14 +302,18 @@ func TestRandomRouteUsesAllFirstSlots(t *testing.T) {
 func TestQuickRouteInvariants(t *testing.T) {
 	f := func(seed uint64) bool {
 		g := gen.BarabasiAlbert(60+int(seed%60), 2, rng(seed))
-		in := NewInstance(g, seed^0xdead)
+		x, err := NewEdges(g)
+		if err != nil {
+			return false
+		}
+		in := x.NewInstance(seed ^ 0xdead)
 		// Bijectivity at a few sampled nodes.
 		r := rng(seed + 1)
 		for k := 0; k < 10; k++ {
 			at := graph.NodeID(r.IntN(g.NumNodes()))
 			seen := map[graph.NodeID]bool{}
-			for _, from := range g.Neighbors(at) {
-				seen[in.Step(from, at)] = true
+			for _, e := range inEdges(x, at) {
+				seen[x.Head(in.Next(e))] = true
 			}
 			if len(seen) != g.Degree(at) {
 				return false
@@ -220,10 +334,10 @@ func TestQuickRouteInvariants(t *testing.T) {
 }
 
 func BenchmarkInstanceRoutes(b *testing.B) {
-	g := gen.BarabasiAlbert(10_000, 5, rng(1))
+	x := mustEdges(b, gen.BarabasiAlbert(10_000, 5, rng(1)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		in := NewInstance(g, uint64(i))
+		in := x.NewInstance(uint64(i))
 		for v := 0; v < 1000; v++ {
 			Route(in, graph.NodeID(v), 0, 10)
 		}
@@ -231,10 +345,10 @@ func BenchmarkInstanceRoutes(b *testing.B) {
 }
 
 func BenchmarkLazyRoutes(b *testing.B) {
-	g := gen.BarabasiAlbert(10_000, 5, rng(1))
+	x := mustEdges(b, gen.BarabasiAlbert(10_000, 5, rng(1)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		l := NewLazy(g, uint64(i))
+		l := x.NewLazy(uint64(i))
 		for v := 0; v < 1000; v++ {
 			Route(l, graph.NodeID(v), 0, 10)
 		}

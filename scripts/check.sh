@@ -57,11 +57,13 @@ echo "== go test -race =="
 go test -race ./...
 
 echo "== fault-tolerance race gate =="
-# The retry/checkpoint machinery and the service's singleflight cache
-# are the most concurrency-sensitive code in the repo; re-run them
-# uncached so a cached pass can never mask a freshly introduced race.
+# The retry/checkpoint machinery, the service's singleflight cache and
+# the range-parallel route passes of distmix and SybilLimit are the
+# most concurrency-sensitive code in the repo; re-run them uncached so
+# a cached pass can never mask a freshly introduced race.
 go test -race -count=1 ./internal/runner ./internal/telemetry ./internal/checkpoint \
-	./internal/api ./internal/service ./internal/distmix ./internal/evolve ./internal/faults
+	./internal/api ./internal/service ./internal/distmix ./internal/evolve ./internal/faults \
+	./internal/sybil ./internal/walk
 
 echo "== graphio fuzz corpus =="
 # Execute the seed corpus of every fuzz target (no fuzzing engine —
