@@ -3,6 +3,7 @@ package community
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"mixtime/internal/gen"
@@ -142,5 +143,25 @@ func TestFastMixingGraphHasLowModularity(t *testing.T) {
 	}
 	if qCave < 0.7 {
 		t.Fatalf("caveman Q=%v unexpectedly low", qCave)
+	}
+}
+
+// TestLouvainDeterministic: the same graph and seed give the same
+// labels and the same modularity bits on every run. Louvain once
+// iterated Go maps, whose randomized order decided ties between equal
+// gains and the order of float sums.
+func TestLouvainDeterministic(t *testing.T) {
+	g := gen.PlantedPartition(6, 40, 0.12, 0.02, rng(21))
+	lcc, _ := graph.LargestComponent(g)
+	want := Louvain(lcc, rng(22))
+	wantQ := Modularity(lcc, want)
+	for run := 0; run < 20; run++ {
+		got := Louvain(lcc, rng(22))
+		if !slices.Equal(got, want) {
+			t.Fatalf("run %d: labels differ", run)
+		}
+		if q := Modularity(lcc, got); math.Float64bits(q) != math.Float64bits(wantQ) {
+			t.Fatalf("run %d: modularity %v, first run %v", run, q, wantQ)
+		}
 	}
 }

@@ -2,13 +2,24 @@ package community
 
 import (
 	"math/rand/v2"
+	"slices"
 
 	"mixtime/internal/graph"
 )
 
+// wedge is one weighted adjacency entry of Louvain's working
+// multigraph.
+type wedge struct {
+	to int32
+	w  float64
+}
+
 // Louvain runs the Louvain method: greedy local modularity moves
 // followed by community aggregation, repeated until modularity stops
 // improving. Returns the flat labeling of the original vertices.
+// Neighbour communities are visited in ascending id order, so ties
+// between equal gains and every float sum are fixed: the same graph
+// and rng state give the same labels on every run.
 func Louvain(g *graph.Graph, rng *rand.Rand) Labels {
 	n := g.NumNodes()
 	labels := make(Labels, n)
@@ -19,25 +30,26 @@ func Louvain(g *graph.Graph, rng *rand.Rand) Labels {
 		return labels
 	}
 
-	// Working multigraph: weighted adjacency with self-loops for
-	// aggregated internal edges.
+	// Working multigraph: weighted adjacency sorted by neighbour, with
+	// self-loops for aggregated internal edges kept apart in self.
 	type wgraph struct {
-		adj  []map[int32]float64
+		adj  [][]wedge
 		self []float64 // 2×internal weight
 		deg  []float64 // weighted degree incl. self-loops
 		m2   float64
 	}
 	cur := &wgraph{
-		adj:  make([]map[int32]float64, n),
+		adj:  make([][]wedge, n),
 		self: make([]float64, n),
 		deg:  make([]float64, n),
 	}
 	for v := 0; v < n; v++ {
-		cur.adj[v] = make(map[int32]float64, g.Degree(graph.NodeID(v)))
-		for _, w := range g.Neighbors(graph.NodeID(v)) {
-			cur.adj[v][int32(w)] = 1
+		nb := g.Neighbors(graph.NodeID(v))
+		cur.adj[v] = make([]wedge, len(nb))
+		for i, w := range nb {
+			cur.adj[v][i] = wedge{int32(w), 1}
 		}
-		cur.deg[v] = float64(g.Degree(graph.NodeID(v)))
+		cur.deg[v] = float64(len(nb))
 		cur.m2 += cur.deg[v]
 	}
 	if cur.m2 == 0 {
@@ -48,6 +60,25 @@ func Louvain(g *graph.Graph, rng *rand.Rand) Labels {
 	membership := make([]int32, n)
 	for i := range membership {
 		membership[i] = int32(i)
+	}
+
+	// acc/touched gather weights per neighbouring community: acc is
+	// zero outside touched, and touched is sorted before it is read.
+	acc := make([]float64, n)
+	seen := make([]bool, n)
+	var touched []int32
+	gather := func(c int32, w float64) {
+		if !seen[c] {
+			seen[c] = true
+			touched = append(touched, c)
+		}
+		acc[c] += w
+	}
+	release := func() {
+		for _, c := range touched {
+			acc[c], seen[c] = 0, false
+		}
+		touched = touched[:0]
 	}
 
 	for level := 0; level < 32; level++ {
@@ -71,23 +102,24 @@ func Louvain(g *graph.Graph, rng *rand.Rand) Labels {
 			for _, v := range order {
 				cv := comm[v]
 				// Weights from v to each neighboring community.
-				toComm := map[int32]float64{}
-				for u, w := range cur.adj[v] {
-					toComm[comm[u]] += w
+				for _, e := range cur.adj[v] {
+					gather(comm[e.to], e.w)
 				}
+				slices.Sort(touched)
 				commDeg[cv] -= cur.deg[v]
 				bestC := cv
-				bestGain := toComm[cv] - commDeg[cv]*cur.deg[v]/cur.m2
-				for c, w := range toComm {
+				bestGain := acc[cv] - commDeg[cv]*cur.deg[v]/cur.m2
+				for _, c := range touched {
 					if c == cv {
 						continue
 					}
-					gain := w - commDeg[c]*cur.deg[v]/cur.m2
+					gain := acc[c] - commDeg[c]*cur.deg[v]/cur.m2
 					if gain > bestGain+1e-12 {
 						bestGain = gain
 						bestC = c
 					}
 				}
+				release()
 				commDeg[bestC] += cur.deg[v]
 				if bestC != cv {
 					comm[v] = bestC
@@ -103,46 +135,68 @@ func Louvain(g *graph.Graph, rng *rand.Rand) Labels {
 			break
 		}
 
-		// Relabel communities densely.
-		remap := map[int32]int32{}
+		// Relabel communities densely, in first-appearance order.
+		remap := make([]int32, k)
+		for i := range remap {
+			remap[i] = -1
+		}
+		nk := 0
 		for _, c := range comm {
-			if _, ok := remap[c]; !ok {
-				remap[c] = int32(len(remap))
+			if remap[c] < 0 {
+				remap[c] = int32(nk)
+				nk++
 			}
 		}
-		nk := len(remap)
 		for v := range comm {
 			comm[v] = remap[comm[v]]
 		}
 		for i := range membership {
 			membership[i] = comm[membership[i]]
 		}
+		if nk == k {
+			break // no aggregation happens; fixed point
+		}
 
-		// Phase 2: aggregate.
+		// Phase 2: aggregate. Each community's members are visited in
+		// id order, so every aggregated weight sums in a fixed order.
+		first := make([]int, nk+1)
+		for _, c := range comm {
+			first[c+1]++
+		}
+		for c := 0; c < nk; c++ {
+			first[c+1] += first[c]
+		}
+		members := make([]int32, k)
+		fill := slices.Clone(first[:nk])
+		for v, c := range comm {
+			members[fill[c]] = int32(v)
+			fill[c]++
+		}
 		next := &wgraph{
-			adj:  make([]map[int32]float64, nk),
+			adj:  make([][]wedge, nk),
 			self: make([]float64, nk),
 			deg:  make([]float64, nk),
 			m2:   cur.m2,
 		}
-		for i := range next.adj {
-			next.adj[i] = map[int32]float64{}
-		}
-		for v := 0; v < k; v++ {
-			cv := comm[v]
-			next.self[cv] += cur.self[v]
-			next.deg[cv] += cur.deg[v]
-			for u, w := range cur.adj[v] {
-				cu := comm[int(u)]
-				if cu == cv {
-					next.self[cv] += w // each internal edge seen twice
-				} else {
-					next.adj[cv][cu] += w
+		for cv := 0; cv < nk; cv++ {
+			for _, v := range members[first[cv]:first[cv+1]] {
+				next.self[cv] += cur.self[v]
+				next.deg[cv] += cur.deg[v]
+				for _, e := range cur.adj[v] {
+					if cu := comm[e.to]; cu == int32(cv) {
+						next.self[cv] += e.w // each internal edge seen twice
+					} else {
+						gather(cu, e.w)
+					}
 				}
 			}
-		}
-		if nk == k {
-			break // no aggregation happened; fixed point
+			slices.Sort(touched)
+			adj := make([]wedge, len(touched))
+			for i, cu := range touched {
+				adj[i] = wedge{cu, acc[cu]}
+			}
+			next.adj[cv] = adj
+			release()
 		}
 		cur = next
 	}

@@ -2,9 +2,12 @@ package evolve
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"reflect"
+	"runtime"
 	"strconv"
 	"testing"
 
@@ -163,5 +166,91 @@ func TestTrackerBoundsTrajectory(t *testing.T) {
 		if s.LowerT < 0 || s.UpperT <= 0 || s.LowerT > s.UpperT {
 			t.Fatalf("epoch %d: nonsensical bounds [%v, %v]", s.Epoch, s.LowerT, s.UpperT)
 		}
+	}
+}
+
+// TestObserveEachMatchesObserve: one ObserveEach per batch is deeply
+// equal to advancing and calling Observe alternately — with and
+// without the cold control, under both methods — and a second batch
+// carries on from the first batch's last eigenvector. GOMAXPROCS 2
+// makes the power chain overlap its λ_n phases on any host.
+func TestObserveEachMatchesObserve(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	ctx := context.Background()
+	for _, opt := range []Options{
+		{Seed: 4, Method: "power"},
+		{Seed: 4, Method: "power", CompareCold: true},
+		{Seed: 4, Method: "lanczos"},
+		{Seed: 4, Method: "lanczos", CompareCold: true},
+	} {
+		t.Run(fmt.Sprintf("%s/cold=%v", opt.Method, opt.CompareCold), func(t *testing.T) {
+			run := func(each bool) []EpochStat {
+				mg := NewMutable(grownBase(120, 120, 4))
+				tr := NewTracker(mg, opt)
+				rng := rand.New(rand.NewPCG(4, 0x77))
+				var stats []EpochStat
+				for batch := 0; batch < 2; batch++ {
+					advance := func(e int) error {
+						if batch == 0 && e == 0 {
+							return nil
+						}
+						g, _ := mg.Snapshot()
+						_, err := mg.Apply(GrowRandom(g, 20, rng))
+						return err
+					}
+					if each {
+						s, err := tr.ObserveEach(ctx, 4, advance)
+						if err != nil {
+							t.Fatal(err)
+						}
+						stats = append(stats, s...)
+						continue
+					}
+					for e := 0; e < 4; e++ {
+						if err := advance(e); err != nil {
+							t.Fatal(err)
+						}
+						s, err := tr.Observe(ctx)
+						if err != nil {
+							t.Fatal(err)
+						}
+						stats = append(stats, s)
+					}
+				}
+				return stats
+			}
+			want, got := run(false), run(true)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("ObserveEach:\n%+v\ninterleaved Observe:\n%+v", got, want)
+			}
+			for i, s := range got {
+				if s.Epoch != i || s.WarmStarted != (i > 0) || (opt.CompareCold && s.ColdIters == 0) {
+					t.Fatalf("stat %d: %+v", i, s)
+				}
+			}
+		})
+	}
+}
+
+// TestObserveEachAdvanceError: an advance error aborts the batch
+// unwrapped and leaves the tracker's epoch count where it was.
+func TestObserveEachAdvanceError(t *testing.T) {
+	tr := NewTracker(NewMutable(grownBase(60, 60, 2)), Options{Seed: 2})
+	boom := errors.New("boom")
+	_, err := tr.ObserveEach(context.Background(), 3, func(e int) error {
+		if e == 1 {
+			return boom
+		}
+		return nil
+	})
+	if err != boom {
+		t.Fatalf("err = %v, want the advance error", err)
+	}
+	if s, err := tr.ObserveEach(context.Background(), 0, nil); s != nil || err != nil {
+		t.Fatalf("zero epochs: %v, %v", s, err)
+	}
+	s, err := tr.Observe(context.Background())
+	if err != nil || s.Epoch != 0 || s.WarmStarted {
+		t.Fatalf("after the failed batch: %+v, %v", s, err)
 	}
 }
