@@ -189,7 +189,9 @@ func run() int {
 	}
 	fmt.Printf("mixtimed: serving %d graph(s) on http://%s\n", reg.Len(), bound)
 
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	// ReadHeaderTimeout drops clients that open a connection and
+	// trickle (or never send) the request headers.
+	httpSrv := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: 10 * time.Second}
 	go func() {
 		<-ctx.Done()
 		fmt.Fprintln(os.Stderr, "mixtimed: shutting down (draining in-flight requests)")

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -241,7 +242,7 @@ func TestSybilAttack(t *testing.T) {
 }
 
 func TestWhanau(t *testing.T) {
-	rows, err := Whanau(tiny)
+	rows, err := WhanauContext(context.Background(), tiny, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,7 +430,7 @@ func TestTrustModels(t *testing.T) {
 }
 
 func TestConductance(t *testing.T) {
-	rows, err := Conductance(tiny)
+	rows, err := ConductanceContext(context.Background(), tiny, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

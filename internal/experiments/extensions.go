@@ -148,13 +148,8 @@ type ConductanceRow struct {
 	SweepNodes int
 }
 
-// Conductance runs the community-structure extension over the small
-// datasets.
-func Conductance(cfg Config) ([]ConductanceRow, error) {
-	return ConductanceContext(context.Background(), cfg, nil)
-}
-
-// ConductanceContext is Conductance with cancellation and progress.
+// ConductanceContext runs the community-structure extension over the
+// small datasets, with cancellation and progress.
 func ConductanceContext(ctx context.Context, cfg Config, obs runner.Observer) ([]ConductanceRow, error) {
 	cfg = cfg.WithDefaults()
 	small := datasets.Small()
@@ -163,26 +158,35 @@ func ConductanceContext(ctx context.Context, cfg Config, obs runner.Observer) ([
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("experiments: conductance cancelled before %s: %w", d.Name, err)
 		}
-		g := d.Generate(cfg.Scale, cfg.Seed)
-		cut, est, err := spectral.SweepConductanceContext(ctx, g, spectral.Options{
-			Tol: cfg.SpectralTol, Seed: cfg.Seed, Workers: cfg.Workers,
-			Collector: cfg.Collector})
+		row, iters, err := conductanceRow(ctx, d.Name, d.Generate(cfg.Scale, cfg.Seed), cfg)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s: %w", d.Name, err)
 		}
-		lo, hi := spectral.CheegerBounds(est.Lambda2)
-		rows = append(rows, ConductanceRow{
-			Dataset:    d.Name,
-			Lambda2:    est.Lambda2,
-			CheegerLo:  lo,
-			CheegerHi:  hi,
-			SweepPhi:   cut.Conductance,
-			SweepNodes: cut.Size,
-		})
+		rows = append(rows, row)
 		runner.Emit(obs, runner.Event{Kind: runner.KindDatasetDone, Dataset: d.Name,
-			Done: i + 1, Total: len(small), Iterations: est.Iterations})
+			Done: i + 1, Total: len(small), Iterations: iters})
 	}
 	return rows, nil
+}
+
+// conductanceRow sweeps g's λ₂ eigenvector estimate and returns its
+// row with the power iterations the estimate cost.
+func conductanceRow(ctx context.Context, name string, g *graph.Graph, cfg Config) (ConductanceRow, int, error) {
+	cut, est, err := spectral.SweepConductanceContext(ctx, g, spectral.Options{
+		Tol: cfg.SpectralTol, Seed: cfg.Seed, Workers: cfg.Workers,
+		Collector: cfg.Collector})
+	if err != nil {
+		return ConductanceRow{}, 0, err
+	}
+	lo, hi := spectral.CheegerBounds(est.Lambda2)
+	return ConductanceRow{
+		Dataset:    name,
+		Lambda2:    est.Lambda2,
+		CheegerLo:  lo,
+		CheegerHi:  hi,
+		SweepPhi:   cut.Conductance,
+		SweepNodes: cut.Size,
+	}, est.Iterations, nil
 }
 
 // RenderConductance formats the conductance table.

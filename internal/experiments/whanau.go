@@ -36,21 +36,21 @@ type WhanauRow struct {
 }
 
 // whanauWalks are the probe lengths, bracketing the w≈80 Whānau
-// reports.
+// reports. Each is at least 2: a length-w tail reads the node
+// distribution after w−1 ≥ 1 propagation steps.
 var whanauWalks = []int{10, 20, 40, 80, 160, 320}
 
 // whanauDatasets: a fast online graph and the slow graphs the paper
 // calls out.
 var whanauDatasets = []string{"facebook", "physics-1", "livejournal-A"}
 
-// Whanau runs the tail-distribution experiment.
-func Whanau(cfg Config) ([]WhanauRow, error) {
-	return WhanauContext(context.Background(), cfg, nil)
-}
-
-// WhanauContext is Whanau with cancellation and progress: ctx is
-// checked per source inside the propagation loop (each source costs
-// maxW steps) and each finished dataset reports as a KindDatasetDone.
+// WhanauContext runs the tail-distribution experiment with
+// cancellation and progress. Sources propagate in blocks of
+// cfg.BlockSize over cfg.Workers pool workers; a step probe reads each
+// column at the probe lengths into per-source slots, which are then
+// summarized in source order, so the rows do not depend on the block
+// size or the worker count. ctx is checked at every step and each
+// finished dataset reports as a KindDatasetDone.
 func WhanauContext(ctx context.Context, cfg Config, obs runner.Observer) ([]WhanauRow, error) {
 	cfg = cfg.WithDefaults()
 	var rows []WhanauRow
@@ -67,53 +67,18 @@ func WhanauContext(ctx context.Context, cfg Config, obs runner.Observer) ([]Whan
 		rng := rand.New(rand.NewPCG(cfg.Seed, 0x77a0))
 		sources := markov.SampleSources(g, min(cfg.Sources, 100), rng)
 
-		maxW := whanauWalks[len(whanauWalks)-1]
-		// For each source propagate once, reading tail metrics at the
-		// probe lengths.
-		type acc struct {
-			tv  []float64
-			sep []float64
+		tv, sep, _, err := whanauTails(ctx, chain, sources, cfg.BlockSize, cfg.Workers)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: whanau %s: %w", name, err)
 		}
-		perW := make(map[int]*acc, len(whanauWalks))
-		for _, w := range whanauWalks {
-			perW[w] = &acc{}
-		}
-		n := g.NumNodes()
-		p := make([]float64, n)
-		q := make([]float64, n)
-		scratch := make([]float64, n)
-		for si, s := range sources {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("experiments: whanau cancelled at %s source %d: %w", name, si, err)
-			}
-			for i := range p {
-				p[i] = 0
-			}
-			p[s] = 1
-			for t := 1; t <= maxW; t++ {
-				// After this step, p is the node distribution at t−1
-				// steps... propagate then read: tail of a length-t walk
-				// uses the node distribution after t−1 steps.
-				if t > 1 {
-					chain.Step(q, p, scratch)
-					p, q = q, p
-				}
-				if a, ok := perW[t]; ok {
-					tv, sep := tailEdgeDistances(g, p)
-					a.tv = append(a.tv, tv)
-					a.sep = append(a.sep, sep)
-				}
-			}
-		}
-		for _, w := range whanauWalks {
-			a := perW[w]
-			sum := stats.Summarize(a.tv)
+		for k, w := range whanauWalks {
+			sum := stats.Summarize(tv[k])
 			rows = append(rows, WhanauRow{
 				Dataset:        name,
 				W:              w,
 				MeanEdgeTV:     sum.Mean,
 				MaxEdgeTV:      sum.Max,
-				MeanSeparation: stats.Summarize(a.sep).Mean,
+				MeanSeparation: stats.Summarize(sep[k]).Mean,
 			})
 		}
 		runner.Emit(obs, runner.Event{Kind: runner.KindDatasetDone, Dataset: name,
@@ -122,14 +87,47 @@ func WhanauContext(ctx context.Context, cfg Config, obs runner.Observer) ([]Whan
 	return rows, nil
 }
 
-// tailEdgeDistances computes, from the node distribution p after w−1
-// steps, the TV distance of the length-w tail-edge distribution to
-// uniform over directed edges, and its separation distance.
-func tailEdgeDistances(g *graph.Graph, p []float64) (tv, sep float64) {
+// whanauTails propagates the sources on the blocked driver to the
+// longest probe length and returns tv[k][i] and sep[k][i], source i's
+// tail-edge TV and separation distance at whanauWalks[k], with the
+// node TV traces the driver recorded on the way.
+func whanauTails(ctx context.Context, chain *markov.Chain, sources []graph.NodeID, blockSize, workers int) (tv, sep [][]float64, traces []*markov.Trace, err error) {
+	maxW := whanauWalks[len(whanauWalks)-1]
+	walkAt := make([]int, maxW) // steps taken → index in whanauWalks, or −1
+	for i := range walkAt {
+		walkAt[i] = -1
+	}
+	tv = make([][]float64, len(whanauWalks))
+	sep = make([][]float64, len(whanauWalks))
+	for k, w := range whanauWalks {
+		walkAt[w-1] = k
+		tv[k] = make([]float64, len(sources))
+		sep[k] = make([]float64, len(sources))
+	}
+	g := chain.Graph()
+	probe := func(first, t int, p []float64, width int) {
+		k := walkAt[t]
+		if k < 0 {
+			return
+		}
+		for j := 0; j < width; j++ {
+			tv[k][first+j], sep[k][first+j] = tailEdgeDistances(g, p, width, j)
+		}
+	}
+	traces, err = chain.TraceSampleProbedContext(ctx, sources, maxW-1, blockSize, workers, probe)
+	return tv, sep, traces, err
+}
+
+// tailEdgeDistances computes, from column j of the row-major n×width
+// block p of node distributions after w−1 steps, the TV distance of
+// the length-w tail-edge distribution to uniform over directed edges,
+// and its separation distance. The tail-edge TV equals the node TV
+// ‖p − π‖: ½Σ_v deg(v)·|p_v/deg(v) − 1/2m| = ½Σ_v |p_v − π_v|.
+func tailEdgeDistances(g *graph.Graph, p []float64, width, j int) (tv, sep float64) {
 	twoM := float64(2 * g.NumEdges())
 	for v := 0; v < g.NumNodes(); v++ {
 		deg := float64(g.Degree(graph.NodeID(v)))
-		perEdge := p[v] / deg // probability of each of v's out tails
+		perEdge := p[v*width+j] / deg // probability of each of v's out tails
 		diff := perEdge - 1/twoM
 		if diff < 0 {
 			tv -= deg * diff

@@ -369,13 +369,30 @@ func newBlockBuffers(n, width int) *blockBuffers {
 	}
 }
 
+// traceTVCap bounds the capacity a trace's TV buffer starts with.
+// Curves longer than this grow by append, so a huge maxT (an untrusted
+// max_walk) costs memory only for the steps actually taken.
+const traceTVCap = 1024
+
+// A StepProbe observes a blocked propagation after every step. first
+// is the index in the sampled sources of the block's first column, t
+// the number of steps taken (1..maxT), and p the row-major n×width
+// block of distributions after t steps: column j, entry p[v*width+j],
+// is source first+j's distribution. p is the driver's own buffer,
+// valid only for the duration of the call and not to be modified.
+// Calls for one block come in step order from one goroutine; calls
+// for different blocks may run concurrently on pool workers.
+type StepProbe func(first, t int, p []float64, width int)
+
 // traceBlock is the one trace driver: it propagates the given sources
 // together as one block of width len(sources), appending each column's
 // TV distance to its trace after every step. A column's curve ends at
 // its first distance below eps, and the block stops once every column
-// has ended or maxT steps elapse; eps = 0 never ends a curve. buf must
-// have capacity for at least that width.
-func (c *Chain) traceBlock(ctx context.Context, sources []graph.NodeID, eps float64, maxT int, buf *blockBuffers) ([]*Trace, error) {
+// has ended or maxT steps elapse; eps = 0 never ends a curve. probe,
+// if non-nil, sees the block after every step, as the block starting
+// at source index first. buf must have capacity for at least that
+// width.
+func (c *Chain) traceBlock(ctx context.Context, sources []graph.NodeID, eps float64, maxT int, buf *blockBuffers, probe StepProbe, first int) ([]*Trace, error) {
 	n := c.g.NumNodes()
 	width := len(sources)
 	p := buf.p[:n*width]
@@ -386,7 +403,7 @@ func (c *Chain) traceBlock(ctx context.Context, sources []graph.NodeID, eps floa
 	traces := make([]*Trace, width)
 	for j, s := range sources {
 		p[int(s)*width+j] = 1
-		traces[j] = &Trace{Source: s, TV: make([]float64, 0, max(maxT, 0))}
+		traces[j] = &Trace{Source: s, TV: make([]float64, 0, min(max(maxT, 0), traceTVCap))}
 	}
 	live := width
 	for t := 0; t < maxT && live > 0; t++ {
@@ -395,6 +412,9 @@ func (c *Chain) traceBlock(ctx context.Context, sources []graph.NodeID, eps floa
 		}
 		c.StepBlock(q, p, width, buf.w)
 		p, q = q, p
+		if probe != nil {
+			probe(first, t+1, p, width)
+		}
 		c.blockTV(p, width, buf.tv)
 		for j, tr := range traces {
 			if k := len(tr.TV); k > 0 && tr.TV[k-1] < eps {
@@ -431,6 +451,22 @@ func (c *Chain) traceBlock(ctx context.Context, sources []graph.NodeID, eps floa
 // after each completed block with the cumulative (done, total) source
 // counts — calls are serialized and monotonic.
 func (c *Chain) TraceSampleBlockedContext(ctx context.Context, sources []graph.NodeID, maxT, blockSize, workers int, onTrace func(done, total int)) ([]*Trace, error) {
+	return c.traceSample(ctx, sources, maxT, blockSize, workers, onTrace, nil)
+}
+
+// TraceSampleProbedContext is TraceSampleBlockedContext with a probe
+// in place of the progress callback: probe (non-nil) sees every
+// block's distributions after every step, for readings the TV curve
+// does not carry. Each column of the block it sees is byte-identical
+// to TraceFrom's distribution from that source, for any blockSize and
+// any workers; the probe must be safe to call from several pool
+// workers at once.
+func (c *Chain) TraceSampleProbedContext(ctx context.Context, sources []graph.NodeID, maxT, blockSize, workers int, probe StepProbe) ([]*Trace, error) {
+	return c.traceSample(ctx, sources, maxT, blockSize, workers, nil, probe)
+}
+
+// traceSample is the worker pool behind both samplers.
+func (c *Chain) traceSample(ctx context.Context, sources []graph.NodeID, maxT, blockSize, workers int, onTrace func(done, total int), probe StepProbe) ([]*Trace, error) {
 	total := len(sources)
 	if total == 0 {
 		return []*Trace{}, nil
@@ -468,7 +504,7 @@ func (c *Chain) TraceSampleBlockedContext(ctx context.Context, sources []graph.N
 				}
 				lo := b * blockSize
 				hi := min(lo+blockSize, total)
-				trs, err := c.traceBlock(ctx, sources[lo:hi], 0, maxT, buf)
+				trs, err := c.traceBlock(ctx, sources[lo:hi], 0, maxT, buf, probe, lo)
 				if err != nil {
 					return // ctx cancelled; surfaced after Wait
 				}

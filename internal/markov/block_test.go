@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"sync"
 	"testing"
 
 	"mixtime/internal/gen"
@@ -131,7 +132,7 @@ func TestTraceUntilPrefixParity(t *testing.T) {
 					mustEqualTraces(t, label, []*Trace{got}, want[i:i+1])
 				}
 				got, err := c.traceBlock(context.Background(), sources, eps, 60,
-					newBlockBuffers(n, len(sources)))
+					newBlockBuffers(n, len(sources)), nil, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -176,6 +177,114 @@ func TestTraceSampleBlockedMatchesSequential(t *testing.T) {
 				mustEqualTraces(t, name, got, want)
 			}
 		}
+	}
+}
+
+// TestTraceSampleProbedMatchesSequential checks the probe hook: for
+// every block size and worker count, the traces stay byte-identical to
+// the scalar reference, and the probe sees every (source, step) exactly
+// once with a column byte-identical to the scalar distribution after
+// that many steps.
+func TestTraceSampleProbedMatchesSequential(t *testing.T) {
+	const maxT = 25
+	for name, g := range blockFixtures(t) {
+		for _, lazyOpt := range [][]Option{nil, {Lazy()}} {
+			c := mustChain(t, g, lazyOpt...)
+			n := g.NumNodes()
+			sources := []graph.NodeID{0, 2, 5, graph.NodeID(n / 3), graph.NodeID(n / 2),
+				graph.NodeID(n - 2), graph.NodeID(n - 1)}
+			want := make([][][]float64, len(sources)) // [source][t-1] distribution
+			for i, s := range sources {
+				p := c.Delta(s)
+				for step := 0; step < maxT; step++ {
+					q := make([]float64, n)
+					c.Step(q, p, nil)
+					want[i] = append(want[i], q)
+					p = q
+				}
+			}
+			wantTraces := scalarTraces(c, sources, maxT)
+			for _, blockSize := range []int{0, 1, 2, 3, 8, 16} {
+				for _, workers := range []int{0, 1, 2, 4} {
+					label := fmt.Sprintf("%s lazy=%v B=%d workers=%d", name, c.IsLazy(), blockSize, workers)
+					var mu sync.Mutex
+					seen := make([][]int, len(sources))
+					for i := range seen {
+						seen[i] = make([]int, maxT)
+					}
+					var bad string
+					probe := func(first, step int, p []float64, width int) {
+						mu.Lock()
+						defer mu.Unlock()
+						for j := 0; j < width; j++ {
+							i := first + j
+							seen[i][step-1]++
+							for v := 0; v < n && bad == ""; v++ {
+								if p[v*width+j] != want[i][step-1][v] {
+									bad = fmt.Sprintf("source %d step %d row %d: %v, want %v",
+										i, step, v, p[v*width+j], want[i][step-1][v])
+								}
+							}
+						}
+					}
+					got, err := c.TraceSampleProbedContext(context.Background(), sources, maxT, blockSize, workers, probe)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					mustEqualTraces(t, label, got, wantTraces)
+					if bad != "" {
+						t.Fatalf("%s: probe %s (not byte-identical)", label, bad)
+					}
+					for i := range seen {
+						for step, k := range seen[i] {
+							if k != 1 {
+								t.Fatalf("%s: source %d step %d probed %d times, want 1", label, i, step+1, k)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestTraceSampleProbedCancellation cancels from inside the probe: the
+// running block aborts at its next step and the error wraps ctx.Err().
+func TestTraceSampleProbedCancellation(t *testing.T) {
+	c := mustChain(t, complete(30))
+	sources := make([]graph.NodeID, 12)
+	for i := range sources {
+		sources[i] = graph.NodeID(i)
+	}
+	for _, workers := range []int{1, 3} {
+		ctx, cancel := context.WithCancel(context.Background())
+		_, err := c.TraceSampleProbedContext(ctx, sources, 50, 4, workers,
+			func(first, step int, p []float64, width int) {
+				if step == 2 {
+					cancel()
+				}
+			})
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
+		}
+	}
+}
+
+// TestTraceUntilHugeMaxT asks for an absurd step budget on a
+// fast-mixing graph: the trace must stop at eps after a few steps
+// without reserving memory for the budget it never uses.
+func TestTraceUntilHugeMaxT(t *testing.T) {
+	c := mustChain(t, complete(20), Lazy())
+	tr, ok := c.TraceUntil(0, 1e-6, 1<<32)
+	if !ok {
+		t.Fatalf("eps not reached after %d steps", len(tr.TV))
+	}
+	if len(tr.TV) > 50 {
+		t.Fatalf("took %d steps on a complete graph, want a few", len(tr.TV))
+	}
+	if cap(tr.TV) > traceTVCap {
+		t.Fatalf("TV capacity %d, want at most %d", cap(tr.TV), traceTVCap)
 	}
 }
 

@@ -9,12 +9,14 @@
 //
 // One driver propagates every trace: a block of point masses advanced
 // together by StepBlock, recording each column's ‖p_t − π‖_tv after
-// every step. It has three entry points:
+// every step. It has four entry points:
 //
 //   - TraceFrom(src, maxT) records the full curve from one source;
 //   - TraceUntil(src, eps, maxT) stops at the first distance below eps;
 //   - TraceSampleBlockedContext runs many sources in blocks over a
-//     cancellable worker pool with progress reporting.
+//     cancellable worker pool with progress reporting;
+//   - TraceSampleProbedContext runs the same pool with a StepProbe
+//     that sees every block's distributions after every step.
 package markov
 
 import (

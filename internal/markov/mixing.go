@@ -55,7 +55,7 @@ func (c *Chain) TraceFrom(src graph.NodeID, maxT int) *Trace {
 // bit-identical to any column of a blocked trace from src.
 func (c *Chain) TraceUntil(src graph.NodeID, eps float64, maxT int) (*Trace, bool) {
 	trs, _ := c.traceBlock(context.Background(), []graph.NodeID{src}, eps, maxT,
-		newBlockBuffers(c.g.NumNodes(), 1))
+		newBlockBuffers(c.g.NumNodes(), 1), nil, 0)
 	tr := trs[0]
 	return tr, len(tr.TV) > 0 && tr.TV[len(tr.TV)-1] < eps
 }

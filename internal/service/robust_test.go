@@ -416,3 +416,39 @@ func TestReadEndpointsRejectNonGET(t *testing.T) {
 		t.Errorf("GET /v1/mutate = %d, want 405", hres.StatusCode)
 	}
 }
+
+// TestOversizedBodyRejected posts bodies past maxBodyBytes to both
+// write endpoints: each must get 413 with an error envelope, nothing
+// may be solved or mutated, and the server must keep answering.
+func TestOversizedBodyRejected(t *testing.T) {
+	col := telemetry.New()
+	s, c := newRobustServer(t, Config{Collector: col}, true)
+	huge := `{"op":"slem","graph":"` + strings.Repeat("a", 2*maxBodyBytes) + `"}`
+	for _, path := range []string{"/v1/query", "/v1/mutate"} {
+		hres, err := http.Post(c.BaseURL+path, "application/json", strings.NewReader(huge))
+		if err != nil {
+			t.Fatalf("POST %s: %v", path, err)
+		}
+		var env struct {
+			Error string `json:"error"`
+		}
+		err = json.NewDecoder(hres.Body).Decode(&env)
+		hres.Body.Close()
+		if hres.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with a %d-byte body = %d, want 413", path, len(huge), hres.StatusCode)
+		}
+		if err != nil || !strings.Contains(env.Error, "exceeds") {
+			t.Errorf("POST %s: error envelope %q (decode err %v), want the size limit named", path, env.Error, err)
+		}
+	}
+	if got := col.Count(telemetry.ServiceSolves); got != 0 {
+		t.Fatalf("service_solves = %d after rejected bodies, want 0", got)
+	}
+	if e, _ := s.reg.Get("physics-1"); e.Mutable().Version() != 0 {
+		t.Fatalf("graph version %d after a rejected mutate, want 0", e.Mutable().Version())
+	}
+	res, err := c.Query(context.Background(), api.Request{Op: api.OpSLEM, Graph: "physics-1", Params: tinyParams()})
+	if err != nil || res.Error != "" {
+		t.Fatalf("query after the oversized bodies: %v %q", err, res.Error)
+	}
+}

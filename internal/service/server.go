@@ -87,6 +87,29 @@ var errOverload = errors.New("service: overloaded")
 // buys nothing.
 const retryAfter = "1"
 
+// maxBodyBytes caps a /v1/query or /v1/mutate request body; a larger
+// one is answered 413 without being read further. The largest bodies
+// the repo's own clients send are about 0.2 KB (184 bytes for a mixload
+// experiment query, 121 for the benchmark's serve reads), so 1 MiB
+// leaves room for explicit mutate edge batches in the tens of thousands
+// while keeping one request from filling the daemon's memory.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes r's JSON body into v, reading at most
+// maxBodyBytes. It returns the status a failure should answer with:
+// 413 for an oversized body, 400 for a malformed one.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) (int, error) {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return 0, nil
+	}
+	var mbe *http.MaxBytesError
+	if errors.As(err, &mbe) {
+		return http.StatusRequestEntityTooLarge, fmt.Errorf("body exceeds %d bytes", mbe.Limit)
+	}
+	return http.StatusBadRequest, err
+}
+
 // Server answers mixing-time queries over a fixed graph registry. It
 // is constructed once (New), serves via Handler, and is torn down
 // with Drain: new requests are rejected while in-flight ones finish.
@@ -255,8 +278,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	started := time.Now()
 	var req api.Request
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.fail(w, http.StatusBadRequest, req, fmt.Errorf("service: bad request body: %w", err))
+	if status, err := decodeBody(w, r, &req); err != nil {
+		s.fail(w, status, req, fmt.Errorf("service: bad request body: %w", err))
 		return
 	}
 	if err := req.Validate(); err != nil {
@@ -391,8 +414,8 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	started := time.Now()
 
 	var req api.MutateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.mutateFail(w, http.StatusBadRequest, req.Graph, fmt.Errorf("service: bad mutate body: %w", err))
+	if status, err := decodeBody(w, r, &req); err != nil {
+		s.mutateFail(w, status, req.Graph, fmt.Errorf("service: bad mutate body: %w", err))
 		return
 	}
 	if err := req.Validate(); err != nil {

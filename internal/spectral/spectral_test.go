@@ -1,6 +1,7 @@
 package spectral
 
 import (
+	"context"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -399,7 +400,7 @@ func TestConductanceOf(t *testing.T) {
 
 func TestSweepCutFindsBarbellBridge(t *testing.T) {
 	g := barbell(8)
-	cut, est, err := SweepConductance(g, Options{Tol: 1e-9})
+	cut, est, err := SweepConductanceContext(context.Background(), g, Options{Tol: 1e-9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,21 +421,25 @@ func TestSweepCutFindsBarbellBridge(t *testing.T) {
 	}
 }
 
-// Property: µ estimates always land in [0, 1] and sweep conductance
-// respects the Cheeger upper bound.
+// Property: the sweep's λ₂ estimate lands in [−1, 1], the λ_n fields
+// of its λ₂-only solve stay zero, and the sweep conductance sits inside
+// the Cheeger interval.
 func TestQuickSweepCheeger(t *testing.T) {
 	f := func(seed uint64) bool {
 		n := 12 + int(seed%20)
 		g := connectedRandom(n, n/2, seed)
-		cut, est, err := SweepConductance(g, Options{Tol: 1e-8, Seed: seed + 3})
+		cut, est, err := SweepConductanceContext(context.Background(), g, Options{Tol: 1e-8, Seed: seed + 3})
 		if err != nil {
 			return false
 		}
-		if est.Mu < 0 || est.Mu > 1+1e-9 {
+		if est.Lambda2 < -1-1e-9 || est.Lambda2 > 1+1e-9 {
 			return false
 		}
-		_, hi := CheegerBounds(est.Lambda2)
-		return cut.Conductance <= hi+1e-6
+		if est.Mu != 0 || est.LambdaN != 0 || est.ItersN != 0 || est.Iterations != est.Iters2 {
+			return false
+		}
+		lo, hi := CheegerBounds(est.Lambda2)
+		return cut.Conductance >= lo-1e-6 && cut.Conductance <= hi+1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)

@@ -108,16 +108,14 @@ func SweepCut(g *graph.Graph, score []float64) *Cut {
 	return best
 }
 
-// SweepConductance is a convenience wrapper: estimate the λ₂
-// eigenvector by power iteration and sweep it. It returns the cut and
-// the SLEM estimate used.
-func SweepConductance(g *graph.Graph, opt Options) (*Cut, *Estimate, error) {
-	return SweepConductanceContext(context.Background(), g, opt)
-}
-
-// SweepConductanceContext is SweepConductance with cancellation.
+// SweepConductanceContext estimates the λ₂ eigenvector by power
+// iteration and sweeps it, returning the cut and the estimate used.
+// Only the λ₂ phase runs (PowerLambda2Context): the estimate's Mu,
+// LambdaN and ItersN stay zero, Iterations counts the λ₂ phase alone,
+// and Converged reports that phase's tolerance. Lambda2 and Vector2
+// are bit-identical to a full SLEMPowerContext solve's.
 func SweepConductanceContext(ctx context.Context, g *graph.Graph, opt Options) (*Cut, *Estimate, error) {
-	est, err := SLEMPowerContext(ctx, g, opt)
+	est, err := PowerLambda2Context(ctx, g, opt)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -58,13 +58,14 @@ go test -race ./...
 
 echo "== fault-tolerance race gate =="
 # The retry/checkpoint machinery, the service's singleflight cache,
-# the range-parallel route passes of distmix and SybilLimit and the
-# power chain's overlapped phases are the most concurrency-sensitive
-# code in the repo; re-run them uncached so a cached pass can never
-# mask a freshly introduced race.
+# the range-parallel route passes of distmix and SybilLimit, the power
+# chain's overlapped phases and the trace pool's step probes (caller
+# code run on pool workers) are the most concurrency-sensitive code in
+# the repo; re-run them uncached so a cached pass can never mask a
+# freshly introduced race.
 go test -race -count=1 ./internal/runner ./internal/telemetry ./internal/checkpoint \
 	./internal/api ./internal/service ./internal/distmix ./internal/evolve ./internal/faults \
-	./internal/sybil ./internal/walk ./internal/spectral
+	./internal/sybil ./internal/walk ./internal/spectral ./internal/markov
 
 echo "== graphio fuzz corpus =="
 # Execute the seed corpus of every fuzz target (no fuzzing engine —
